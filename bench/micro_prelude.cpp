@@ -1,8 +1,8 @@
-// Prelude microbenchmark: the fused depth-first traversal (serial and
-// subtree-parallel) against the one-pass-per-depth baseline on a large
-// synthetic trace. This is the experiment behind the PR's claim structure:
+// Prelude microbenchmark: the fused traversal (serial and parallel)
+// against the one-pass-per-depth baseline on a large synthetic trace. It
+// checks three claims:
 //
-//   * wall clock — subtree-parallel fused must beat serial fused;
+//   * wall clock — parallel fused must beat serial fused;
 //   * total refs scanned — the fused traversal's honest work counter
 //     (explore.fused_refs, the sum of *active* node subsequence lengths)
 //     must undercut the per-depth baseline's (depths + 1) * N
@@ -16,7 +16,10 @@
 // throughput (refs/sec, also the `refs_per_sec` counter in the JSON report
 // — what tools/bench_diff gates on in CI), and a dispatch section re-runs
 // the serial fused traversals under every level the host supports so one
-// invocation prints the scalar-vs-avx2 comparison directly.
+// invocation prints the scalar-vs-avx2 comparison directly. The fused_tree
+// rows run ComputeMissProfilesFusedTree, a synonym of the fused traversal
+// since the scan is chosen per node; they stay because the CI gate reads
+// them. The per_depth_tree rows still run the Fenwick per-depth baseline.
 //
 // Flags: --refs=1200000  --max-bits=14  --jobs=0 (0 = hardware concurrency)
 //        --repeats=3  --json=PATH (ces-bench-v1, docs/OBSERVABILITY.md)

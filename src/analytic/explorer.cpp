@@ -123,28 +123,23 @@ void Explorer::BuildPrelude(const trace::StrippedTrace& stripped,
     progress->BeginPhase("prelude depths", max_index_bits_ + 1);
   }
   if (options.engine == Engine::kFused || options.engine == Engine::kFusedTree) {
-    const bool use_tree = options.engine == Engine::kFusedTree;
     if (options.prelude == PreludeMode::kPerDepth) {
       // Explicitly requested cross-validation baseline: per-depth Mattson
-      // passes (move-to-front or Fenwick, matching the engine) computed
-      // concurrently, one depth per pool index. Identical histograms to the
-      // fused traversal — both are exact per-set LRU stack distance counts
-      // in canonical form.
+      // passes computed concurrently, one depth per pool index. Identical
+      // histograms to the fused traversal — both are exact per-set LRU
+      // stack distance counts in canonical form.
       support::ThreadPool pool(jobs, metrics_);
-      profiles_ = cache::ComputeAllDepthProfiles(stripped, max_index_bits_,
-                                                 &pool, use_tree, metrics_);
+      profiles_ = cache::ComputeAllDepthProfiles(
+          stripped, max_index_bits_, &pool, /*use_tree=*/false, metrics_);
     } else {
       // The fused depth-first traversal (section 2.4) for every jobs value:
-      // jobs > 1 makes it subtree-parallel, it does not change algorithms.
+      // jobs > 1 runs its nodes in parallel, it does not change algorithms.
       support::ScopedTraceSpan span("explore.fused_traversal");
       std::optional<support::ThreadPool> pool;
       FusedPreludeOptions fused;
       fused.metrics = metrics_;
       if (jobs > 1) fused.pool = &pool.emplace(jobs, metrics_);
-      profiles_ =
-          use_tree ? ComputeMissProfilesFusedTree(stripped, max_index_bits_,
-                                                  fused)
-                   : ComputeMissProfilesFused(stripped, max_index_bits_, fused);
+      profiles_ = ComputeMissProfilesFused(stripped, max_index_bits_, fused);
     }
   } else {
     // The reference engine's explicit phases (sections 2.2-2.3), each its

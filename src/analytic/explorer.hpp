@@ -30,9 +30,11 @@ enum class Engine : std::uint8_t {
   // traces and for validating the fused engine.
   kReference = 0,
   // Fused depth-first engine of section 2.4: linear space, the default.
+  // Each node picks the move-to-front or the windowed Bennett-Kruskal scan
+  // by a cost model (docs/ALGORITHM.md).
   kFused = 1,
-  // Fused engine with Bennett-Kruskal Fenwick-tree scans per node:
-  // O(n log n) per node independent of stack depth. Same results.
+  // Synonym of kFused, kept so existing callers and the "fused-tree" CLI
+  // and protocol spelling still work: the scan is chosen per node now.
   kFusedTree = 2,
 };
 
@@ -79,11 +81,13 @@ struct ExplorerOptions {
   // "explore.set_accesses" and "explore.set_cold_misses" (per-set load at
   // the deepest explored depth); each Solve adds "explore.solve_queries".
   // The fused traversal additionally records its honest work counters
-  // "explore.fused_nodes" / "explore.fused_refs" (plus the volatile gauge
-  // "explore.cut_level"); the per-depth baseline records "stack.passes" /
-  // "stack.refs_scanned" instead. Counters and histograms are byte-identical
-  // in ToJson for every jobs value and across kFused/kFusedTree (given the
-  // same prelude mode). nullptr (default) disables collection.
+  // "explore.fused_nodes" / "explore.fused_refs", split by scan into
+  // "explore.scan_mtf_refs" / "explore.scan_fenwick_refs" (plus the
+  // volatile gauge "explore.cut_level"); the per-depth baseline records
+  // "stack.passes" / "stack.refs_scanned" instead. Counters and histograms
+  // are byte-identical in ToJson for every jobs value and across
+  // kFused/kFusedTree (given the same prelude mode). nullptr (default)
+  // disables collection.
   //
   // Independently, with a global support::TraceSink installed the prelude
   // emits nested spans (explore.prelude / explore.strip / per-engine phase

@@ -1,11 +1,14 @@
 #include "analytic/fast.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <condition_variable>
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <utility>
 
 #include "support/check.hpp"
-#include "support/fenwick.hpp"
 #include "support/metrics.hpp"
 #include "support/pool.hpp"
 #include "support/simd.hpp"
@@ -13,48 +16,74 @@
 namespace ces::analytic {
 namespace {
 
-// One implicit BCAT node: its level and the contiguous segment of the
-// level-parity id buffer holding its subsequence of the trace.
+// One implicit BCAT node: its level, the contiguous segment of the level's
+// id buffer holding its subsequence of the trace, and the distinct count of
+// its parent (the trace's unique count for the root) — one of the three
+// inputs of the scan cost model.
 struct Frame {
   std::uint32_t level;
   std::size_t begin;
   std::size_t end;
+  std::size_t parent_distinct;
 };
 
 // Distance tallies for a contiguous band of levels [base, base + hist.size()).
-// The whole-traversal tallies use base 0; each parallel chunk tallies the
-// levels below the cut into a private instance that is merged afterwards.
+// Pool chunk 0 (the calling thread) tallies every level with base 0; every
+// other chunk tallies the levels it can reach (>= 1: the root always runs on
+// chunk 0) into a private instance that is merged afterwards.
 struct LevelTallies {
   std::uint32_t base = 0;
   std::vector<std::vector<std::uint64_t>> hist;  // hist[level - base][distance]
   std::vector<std::uint64_t> counted;            // distances >= 1 tallied
   std::uint64_t nodes = 0;                       // node scans performed
   std::uint64_t refs = 0;                        // references scanned
+  std::uint64_t mtf_refs = 0;                    // ... by the MTF scan
+  std::uint64_t fenwick_refs = 0;                // ... by Bennett-Kruskal
 };
 
-// Mutable per-lane scan state; one lane per pool chunk plus the lane the
-// calling thread uses for the serial top of the tree. Everything is sized in
-// Setup() and only reused afterwards.
+// Per-id state of the Bennett-Kruskal scan: the epoch of the node that last
+// saw the id and its mark's slot in that node's window. One 8-byte record,
+// so a sighting touches one cache line.
+struct IdMark {
+  std::uint32_t epoch = 0;
+  std::uint32_t slot = 0;
+};
+
+// Mutable per-lane scan state; lane c serves pool chunk c (lane 0 is the
+// calling thread, which also scans the root). Everything is sized in Setup()
+// and only reused afterwards.
 struct LaneScratch {
-  std::vector<Frame> frames;           // explicit DFS stack
-  std::vector<std::uint32_t> mtf;      // kFused: move-to-front stack
-  std::vector<std::int64_t> fenwick;   // kFusedTree: BIT over node positions
-  std::uint32_t epoch = 0;             // kFusedTree: current node's epoch
+  std::vector<Frame> frames;              // explicit DFS stack
+  std::vector<std::uint32_t> mtf;         // move-to-front stack
+  std::vector<std::uint64_t> bits;        // window marks, 64 slots a word
+  std::vector<std::uint32_t> counts;      // count tree over the words
+  std::vector<std::uint32_t> slot_ids;    // id placed in each window slot
+  std::uint32_t epoch = 0;                // last epoch this lane's DFS used
 };
 
-constexpr std::uint32_t kNoCollect = ~0u;
+// Scan cost model (docs/ALGORITHM.md has the measurements). A node's
+// distinct count — and with it the depth of its move-to-front stack — is
+// bounded by D = min(caps_[level], parent distinct, node length). MTF costs
+// up to about len * D / 2 stack steps, but only as deep as reuse actually
+// reaches; the windowed Bennett-Kruskal scan costs about len * c, nearly
+// flat in D (one per-id record, one popcount and a short fixed walk per
+// reference). Both are linear in len, so the choice is a threshold on D.
+// Uniform reuse breaks even below D = 16; locality keeps MTF walks short
+// and moves the break-even to D = 67..133 on the big_synth trace. The
+// threshold sits at the locality break-even, since real traces have it.
+constexpr std::size_t kFenwickMinDepth = 128;
 
 class FusedTraversal {
  public:
   FusedTraversal(const trace::StrippedTrace& stripped,
-                 std::uint32_t max_index_bits, bool use_tree,
+                 std::uint32_t max_index_bits,
                  const FusedPreludeOptions& options)
       : stripped_(stripped),
         unique_(stripped.unique),
         max_bits_(max_index_bits),
-        use_tree_(use_tree),
         options_(options),
-        kernels_(support::simd::ActiveKernels()) {}
+        kernels_(support::simd::ActiveKernels()),
+        root_{0, 0, stripped.size(), stripped.unique_count()} {}
 
   std::vector<cache::StackProfile> Run() {
     std::vector<cache::StackProfile> profiles(max_bits_ + 1);
@@ -73,34 +102,32 @@ class FusedTraversal {
     // --- no heap allocation below this line (tests/fused_alloc_test.cpp) ---
 
     if (cut_ == 0) {
-      Traverse({0, 0, stripped_.size()}, serial_lane_, main_, kNoCollect);
+      Traverse(root_, lanes_[0], main_);
     } else {
-      // Phase 1: the calling thread partitions (and scans) the top of the
-      // tree down to the cut, collecting the surviving level-cut subtrees in
-      // left-to-right segment order.
-      Traverse({0, 0, stripped_.size()}, serial_lane_, main_, cut_);
-      // Phase 2: contiguous, length-balanced runs of subtrees fan out onto
-      // the pool. Subtrees own disjoint segments (an address belongs to
-      // exactly one residue class mod 2^cut), so lanes never touch the same
-      // buffer elements or — for the tree scan — the same per-id slots.
-      PlanChunks();
-      pool_jobs_ = options_.pool->jobs();
+      // The top of the tree runs as node tasks (RunTasks): the root is split
+      // here and its children queued; every node above the cut queues its
+      // own children once scanned and split, and each level-cut node runs
+      // to the leaves as one task. Chunk 0 scans the root first; no task
+      // waits for that scan.
+      QueueChildren(root_, root_.parent_distinct);
       options_.pool->ParallelFor(
-          pool_jobs_, [this](std::size_t chunk) { RunChunk(chunk); });
-      // Merge in chunk order == subtree order: uint64 adds are associative
-      // and commutative, so the totals equal the serial traversal's exactly.
-      for (std::size_t chunk = 0; chunk < pool_jobs_; ++chunk) {
-        const LevelTallies& t = chunk_tallies_[chunk];
-        for (std::uint32_t level = cut_; level <= max_bits_; ++level) {
-          const auto& partial = t.hist[level - cut_];
+          lanes_.size(), [this](std::size_t chunk) { RunTasks(chunk); });
+      // Every chunk but 0 tallied into a private partial. The tallies are
+      // integer sums, so the totals equal the serial traversal's exactly
+      // whichever chunk scanned which node.
+      for (const LevelTallies& t : chunk_tallies_) {
+        for (std::uint32_t level = t.base; level <= max_bits_; ++level) {
+          const auto& partial = t.hist[level - t.base];
           auto& total = main_.hist[level];
           for (std::size_t d = 0; d < partial.size(); ++d) {
             total[d] += partial[d];
           }
-          main_.counted[level] += t.counted[level - cut_];
+          main_.counted[level] += t.counted[level - t.base];
         }
         main_.nodes += t.nodes;
         main_.refs += t.refs;
+        main_.mtf_refs += t.mtf_refs;
+        main_.fenwick_refs += t.fenwick_refs;
       }
     }
 
@@ -130,6 +157,10 @@ class FusedTraversal {
       // allocation test runs the whole of Run() under its counter.
       options_.metrics->Add("explore.fused_nodes", main_.nodes);
       options_.metrics->Add("explore.fused_refs", main_.refs);
+      // The scan choice reads no pool-dependent input, so the split is
+      // jobs-invariant like the totals it sums to.
+      options_.metrics->Add("explore.scan_mtf_refs", main_.mtf_refs);
+      options_.metrics->Add("explore.scan_fenwick_refs", main_.fenwick_refs);
       // The cut is a function of the pool size, so it lives with the
       // volatile gauges — never in the deterministic counter surface CI
       // diffs.
@@ -145,10 +176,10 @@ class FusedTraversal {
   }
 
  private:
-  // Upper bound on any stack distance tallied at `level`: a node there holds
+  // Upper bound on any node's distinct count at `level`: a node there holds
   // the occurrences of the unique lines agreeing on the low `level` address
-  // bits, so no distance can reach the population of the fullest residue
-  // class. Used to pre-size every histogram exactly once.
+  // bits, so it cannot see more lines than the fullest residue class holds.
+  // Used to pre-size every histogram and scan buffer exactly once.
   std::vector<std::size_t> MaxDistinctPerLevel() const {
     std::vector<std::size_t> caps(max_bits_ + 1, 0);
     std::vector<std::size_t> counts;
@@ -164,6 +195,38 @@ class FusedTraversal {
     return caps;
   }
 
+  bool UseFenwick(const Frame& node) const {
+    const std::size_t depth = std::min(
+        {caps_[node.level], node.parent_distinct, node.end - node.begin});
+    return depth >= kFenwickMinDepth;
+  }
+
+  // Window of a node's Bennett-Kruskal scan: at least twice its distinct
+  // bound, so a renumbering always frees at least half of it — or at least
+  // the node's length, so it never fills. Whole 64-slot words, a power of
+  // two of them.
+  std::size_t WindowSize(std::uint32_t level, std::size_t len) const {
+    return std::max<std::size_t>(
+        64, std::bit_ceil(std::min(2 * caps_[level], len)));
+  }
+
+  // Scratch for a lane whose nodes start at `level` or deeper. caps_ does
+  // not grow with the level, so the shallowest level sizes everything: the
+  // MTF stack only ever serves nodes the model sends to it (distinct <
+  // kFenwickMinDepth), the window only nodes it sends to Bennett-Kruskal.
+  void SizeLane(LaneScratch& lane, std::uint32_t level) {
+    lane.frames.reserve(2 * (max_bits_ + 2));
+    lane.mtf.reserve(std::min(caps_[level], kFenwickMinDepth));
+    if (caps_[level] >= kFenwickMinDepth) {
+      const std::size_t window = WindowSize(level, stripped_.size());
+      CES_CHECK(window <= (std::size_t{1} << 32));  // slots are 32-bit
+      lane.bits.assign(window / 64, 0);
+      lane.counts.assign(2 * window / 64, 0);
+      lane.slot_ids.assign(window, 0);
+      if (marks_.empty()) marks_.assign(stripped_.unique_count(), IdMark{});
+    }
+  }
+
   void Setup() {
     const std::size_t n = stripped_.size();
     const unsigned jobs = options_.pool == nullptr ? 1 : options_.pool->jobs();
@@ -174,23 +237,27 @@ class FusedTraversal {
     }
 
     caps_ = MaxDistinctPerLevel();
-    bufs_[0] = stripped_.ids;
-    bufs_[1].assign(n, 0);
-    // SoA address lanes mirroring the id buffers: addr_bufs_[b][i] ==
-    // unique_[bufs_[b][i]] holds at every point of the traversal because the
+    // Ping-pong id buffers: level L >= 1 lives in ids_[L & 1]; the root
+    // reads the stripped trace itself, which nothing ever overwrites. Every
+    // element is written by a partition before any scan reads it, so the
+    // buffers start uninitialised.
+    ids_[0] = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+    ids_[1] = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+    // SoA address lanes mirroring the ids: addrs_[L & 1][i] ==
+    // unique_[Ids(L)[i]] holds at every point of the traversal because the
     // partition permutes both lanes identically. The split-bit count and the
     // partition read this lane sequentially instead of gathering
     // unique_[id] per element, so their reads and writes stream.
-    addr_bufs_[0].resize(n);
-    addr_bufs_[1].assign(n, 0);
+    addrs_[0] = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+    addrs_[1] = std::make_unique_for_overwrite<std::uint32_t[]>(n);
     if (stripped_.unique_count() < (std::uint64_t{1} << 31)) {
-      kernels_.gather(bufs_[0].data(), n, unique_.data(),
-                      addr_bufs_[0].data());
+      kernels_.gather(stripped_.ids.data(), n, unique_.data(),
+                      addrs_[0].get());
     } else {
       // vpgatherdd indices are signed, so an id >= 2^31 would wrap; fill
       // the lane scalar for such traces instead of corrupting it.
       for (std::size_t i = 0; i < n; ++i) {
-        addr_bufs_[0][i] = unique_[bufs_[0][i]];
+        addrs_[0][i] = unique_[stripped_.ids[i]];
       }
     }
 
@@ -201,255 +268,350 @@ class FusedTraversal {
     }
     main_.counted.assign(max_bits_ + 1, 0);
 
-    serial_lane_.frames.reserve(2 * (max_bits_ + 2));
-    if (use_tree_) {
-      epoch_of_.assign(stripped_.unique_count(), 0);
-      last_pos_.assign(stripped_.unique_count(), 0);
-      serial_lane_.fenwick.assign(n + 1, 0);
-    } else {
-      serial_lane_.mtf.reserve(stripped_.unique_count());
-    }
+    lanes_.resize(cut_ == 0 ? 1 : jobs);
+    SizeLane(lanes_[0], 0);
+    if (cut_ == 0) return;
 
-    if (cut_ > 0) {
-      subtrees_.reserve(std::size_t{1} << cut_);
-      // Longest possible level-cut segment: occurrences (not uniques) of the
-      // fullest residue class mod 2^cut — the size every chunk lane's scan
-      // scratch must accommodate.
-      std::vector<std::size_t> occupancy(std::size_t{1} << cut_, 0);
-      const std::uint32_t mask = (1u << cut_) - 1;
-      std::size_t max_segment = 0;
-      for (std::uint32_t id : stripped_.ids) {
-        max_segment = std::max(max_segment, ++occupancy[unique_[id] & mask]);
-      }
-      chunk_bounds_.assign(jobs + 1, 0);
-      chunk_lanes_.resize(jobs);
-      chunk_tallies_.resize(jobs);
-      for (unsigned chunk = 0; chunk < jobs; ++chunk) {
-        LaneScratch& lane = chunk_lanes_[chunk];
-        lane.frames.reserve(2 * (max_bits_ + 2));
-        if (use_tree_) {
-          lane.fenwick.assign(max_segment + 1, 0);
-        } else {
-          lane.mtf.reserve(std::min(caps_[cut_], max_segment));
-        }
-        LevelTallies& tallies = chunk_tallies_[chunk];
-        tallies.base = cut_;
-        tallies.hist.resize(max_bits_ + 1 - cut_);
-        for (std::uint32_t level = cut_; level <= max_bits_; ++level) {
-          tallies.hist[level - cut_].assign(caps_[level], 0);
-        }
-        tallies.counted.assign(max_bits_ + 1 - cut_, 0);
-      }
+    // The root's scan overlaps the rest of the traversal, so it stamps
+    // records of its own: every id is the root's.
+    if (UseFenwick(root_)) {
+      root_marks_.assign(stripped_.unique_count(), IdMark{});
     }
+    // Lanes 1.. never see the root, so they are sized from level 1 — half
+    // the deepest stack and window on a balanced trace.
+    chunk_tallies_.resize(jobs - 1);
+    for (unsigned chunk = 1; chunk < jobs; ++chunk) {
+      SizeLane(lanes_[chunk], 1);
+      LevelTallies& tallies = chunk_tallies_[chunk - 1];
+      tallies.base = 1;
+      tallies.hist.resize(max_bits_);
+      for (std::uint32_t level = 1; level <= max_bits_; ++level) {
+        tallies.hist[level - 1].assign(caps_[level], 0);
+      }
+      tallies.counted.assign(max_bits_, 0);
+    }
+    // Levels 1..cut hold fewer than 2^(cut + 1) nodes between them.
+    queue_.resize(std::size_t{2} << cut_);
   }
 
-  // Scans one node, tallying distances >= 1 into `tallies`, and counts the
-  // bit-B_level zeros so the caller can partition without re-deriving the
-  // split. The zero count is a dedicated vectorizable pass over the SoA
-  // address lane (dispatched through support::simd), which strips the
-  // per-element branch out of the stack-distance loop below. Returns
-  // {distinct references in the node, size of the left child}.
-  std::pair<std::size_t, std::size_t> ScanNode(const Frame& node,
-                                               LaneScratch& lane,
-                                               LevelTallies& tallies) {
-    const std::vector<std::uint32_t>& src = bufs_[node.level & 1];
+  const std::uint32_t* Ids(std::uint32_t level) const {
+    return level == 0 ? stripped_.ids.data() : ids_[level & 1].get();
+  }
+
+  LevelTallies& TalliesFor(std::size_t chunk) {
+    return chunk == 0 ? main_ : chunk_tallies_[chunk - 1];
+  }
+
+  // Scans one node with the scan the cost model picks, tallying distances
+  // >= 1 into `tallies`. Returns the node's distinct count. `epoch` must
+  // differ from every epoch another node stamped into `marks` for the same
+  // ids, which is what lets the Bennett-Kruskal scan trust the records
+  // without clearing them. Serially one lane numbers every node from 1. In
+  // parallel the root has records of its own, nodes above the cut take
+  // their queue position (below 2^(cut + 1)) as epoch, and each lane
+  // numbers the nodes from the cut down from 2^(cut + 1) on (concurrent
+  // subtrees hold disjoint ids).
+  std::size_t ScanNode(const Frame& node, LaneScratch& lane,
+                       LevelTallies& tallies, IdMark* marks,
+                       std::uint32_t epoch) {
     std::vector<std::uint64_t>& hist = tallies.hist[node.level - tallies.base];
     std::uint64_t& counted = tallies.counted[node.level - tallies.base];
-    ++tallies.nodes;
-    tallies.refs += node.end - node.begin;
-    // At the deepest level the split bit is never used; keep the shift in
-    // range regardless of address width.
-    const std::uint32_t shift = node.level < max_bits_ ? node.level : 0;
     const std::size_t len = node.end - node.begin;
-    const std::size_t n_left = kernels_.count_zero_bits(
-        addr_bufs_[node.level & 1].data() + node.begin, len, shift);
-    std::size_t distinct = 0;
+    ++tallies.nodes;
+    tallies.refs += len;
+    std::size_t distinct;
+    if (UseFenwick(node)) {
+      tallies.fenwick_refs += len;
+      distinct = ScanFenwick(node, lane, marks, epoch, hist, counted);
+    } else {
+      tallies.mtf_refs += len;
+      distinct = ScanMtf(node, lane, hist, counted);
+    }
+    // Every id of the node is a unique line of one residue class mod
+    // 2^level, so distinct <= caps_[level] holds by construction of caps_;
+    // this check turns a corrupted partition into a clean abort. It bounds
+    // everything the scans index: a tallied distance counts other distinct
+    // ids, so it is < distinct <= caps_[level] == hist.size(); and a
+    // renumbering keeps fewer than distinct marks in a window of at least
+    // 2 * caps_[level] slots, so it frees at least half the window (a
+    // window of at least len slots never fills).
+    CES_CHECK(distinct <= caps_[node.level]);
+    return distinct;
+  }
 
-    if (!use_tree_) {
-      // Move-to-front scan: stack position == number of distinct references
-      // of this row touched since the previous occurrence. One backward
-      // shift both searches for the id and slides the displaced prefix, so
-      // each element is loaded and stored exactly once (the former
-      // std::find + std::rotate pair traversed the prefix twice).
-      std::vector<std::uint32_t>& stack = lane.mtf;
-      stack.clear();
-      for (std::size_t i = node.begin; i < node.end; ++i) {
-        const std::uint32_t id = src[i];
-        std::uint32_t carry = id;
-        std::size_t distance = stack.size();
-        for (std::size_t d = 0; d < stack.size(); ++d) {
-          const std::uint32_t displaced = stack[d];
-          stack[d] = carry;
-          if (displaced == id) {
-            distance = d;
-            break;
-          }
-          carry = displaced;
+  // Move-to-front scan: stack position == number of distinct references of
+  // this row touched since the previous occurrence. One backward shift both
+  // searches for the id and slides the displaced prefix, so each element is
+  // loaded and stored exactly once.
+  std::size_t ScanMtf(const Frame& node, LaneScratch& lane,
+                      std::vector<std::uint64_t>& hist,
+                      std::uint64_t& counted) {
+    const std::uint32_t* ids = Ids(node.level);
+    std::vector<std::uint32_t>& stack = lane.mtf;
+    stack.clear();
+    for (std::size_t i = node.begin; i < node.end; ++i) {
+      const std::uint32_t id = ids[i];
+      std::uint32_t carry = id;
+      std::size_t distance = stack.size();
+      for (std::size_t d = 0; d < stack.size(); ++d) {
+        const std::uint32_t displaced = stack[d];
+        stack[d] = carry;
+        if (displaced == id) {
+          distance = d;
+          break;
         }
-        if (distance == stack.size()) {
-          stack.push_back(carry);  // cold occurrence; capacity reserved
-          continue;
+        carry = displaced;
+      }
+      if (distance == stack.size()) {
+        stack.push_back(carry);  // cold occurrence; capacity reserved
+        continue;
+      }
+      if (distance >= 1) {
+        ++hist[distance];
+        ++counted;
+      }
+    }
+    return stack.size();
+  }
+
+  // Bennett-Kruskal over a bounded window: each id seen by the node keeps
+  // one mark, in the window slot of its latest occurrence, and an
+  // occurrence's stack distance is the number of marks after its previous
+  // slot. References take consecutive slots; when the window is full, the
+  // live marks are renumbered to the front in slot order (which keeps every
+  // "marks after" count) and the counts are rebuilt in O(window).
+  //
+  // The marks are a bitset of 64-slot words under a complete binary tree
+  // of per-word counts, so a lookup is one popcount plus a walk of fixed
+  // height log2(words): the loop trip count never depends on the data,
+  // and on big_synth the root's bits and counts take 8 KiB, inside L1.
+  //
+  // Per-id records use epoch stamping so nothing needs clearing between
+  // nodes; lanes share them because concurrently scanned nodes hold
+  // disjoint ids. The record load is random-access, so software prefetch
+  // covers it a few references ahead.
+  std::size_t ScanFenwick(const Frame& node, LaneScratch& lane, IdMark* marks,
+                          std::uint32_t epoch,
+                          std::vector<std::uint64_t>& hist,
+                          std::uint64_t& counted) {
+    constexpr std::size_t kIdAhead = 8;
+    const std::uint32_t* ids = Ids(node.level) + node.begin;
+    const std::size_t len = node.end - node.begin;
+    const std::size_t window = WindowSize(node.level, len);
+    const std::size_t words = window / 64;
+    const auto height = static_cast<std::uint32_t>(std::countr_zero(words));
+    std::uint64_t* bits = lane.bits.data();
+    std::uint32_t* counts = lane.counts.data();  // counts[words + w]: word w
+    std::uint32_t* slot_ids = lane.slot_ids.data();
+    std::fill(bits, bits + words, std::uint64_t{0});
+    std::fill(counts, counts + 2 * words, 0u);
+    std::uint32_t live = 0;  // ids seen so far
+    std::size_t cursor = 0;  // next free slot
+    for (std::size_t pos = 0; pos < len; ++pos) {
+      if (pos + kIdAhead < len) {
+        support::simd::PrefetchRead(&marks[ids[pos + kIdAhead]]);
+      }
+      const std::uint32_t id = ids[pos];
+      IdMark& mark = marks[id];
+      if (mark.epoch == epoch) {
+        // The epoch guard means the record was written by this node, so
+        // its slot holds a live mark of this window: never stale.
+        const std::size_t slot = mark.slot;
+        const std::size_t w = slot >> 6;
+        const std::uint64_t word = bits[w];
+        // Marks after the slot: the rest of its word, then every right
+        // sibling on the way up (a left child's sibling lies wholly after
+        // it). The same walk removes the mark from the counts.
+        auto distance = static_cast<std::uint32_t>(
+            std::popcount((word >> (slot & 63)) >> 1));
+        bits[w] = word & ~(std::uint64_t{1} << (slot & 63));
+        std::size_t k = words + w;
+        for (std::uint32_t h = 0; h < height; ++h) {
+          distance += counts[k ^ 1] & ((k & 1) - 1);
+          --counts[k];
+          k >>= 1;
         }
         if (distance >= 1) {
-          CES_DCHECK(distance < hist.size());
           ++hist[distance];
           ++counted;
         }
+      } else {
+        mark.epoch = epoch;
+        ++live;
       }
-      distinct = stack.size();
-    } else {
-      // Bennett-Kruskal: a Fenwick tree of "most recent occurrence" marks
-      // over the node positions; the distance is a range sum. Node-local
-      // "seen" state uses epoch stamping so nothing needs clearing between
-      // nodes; lanes share the per-id arrays because their subtrees hold
-      // disjoint ids. The per-id mark lanes (epoch, last position, and the
-      // Fenwick slot the previous occurrence touches) are random-access —
-      // software prefetch hides their latency a few references ahead.
-      constexpr std::size_t kIdAhead = 8;    // per-id lanes: two cache loads
-      constexpr std::size_t kMarkAhead = 4;  // Fenwick slot: needs last_pos_
-      ++lane.epoch;
-      FenwickView marks(lane.fenwick.data(), len);
-      for (std::size_t pos = 0; pos < len; ++pos) {
-        if (pos + kIdAhead < len) {
-          const std::uint32_t ahead = src[node.begin + pos + kIdAhead];
-          support::simd::PrefetchRead(&epoch_of_[ahead]);
-          support::simd::PrefetchRead(&last_pos_[ahead]);
-        }
-        if (pos + kMarkAhead < len) {
-          // last_pos_ may be stale for this id (another node set it), but a
-          // stale slot is still inside the lane's Fenwick buffer, so the
-          // prefetch is at worst useless, never wrong.
-          const std::uint32_t ahead = src[node.begin + pos + kMarkAhead];
-          if (epoch_of_[ahead] == lane.epoch) {
-            support::simd::PrefetchRead(&lane.fenwick[last_pos_[ahead] + 1]);
-          }
-        }
-        const std::uint32_t id = src[node.begin + pos];
-        if (epoch_of_[id] == lane.epoch) {
-          const std::size_t p = last_pos_[id];
-          const auto distance = static_cast<std::size_t>(
-              pos >= p + 2 ? marks.RangeSum(p + 1, pos - 1) : 0);
-          if (distance >= 1) {
-            CES_DCHECK(distance < hist.size());
-            ++hist[distance];
-            ++counted;
-          }
-          marks.Add(p, -1);
-        } else {
-          epoch_of_[id] = lane.epoch;
-          ++distinct;
-        }
-        marks.Add(pos, +1);
-        last_pos_[id] = pos;
+      if (cursor == window) {
+        cursor = Renumber(bits, counts, slot_ids, words, marks);
       }
-      marks.Clear();
+      bits[cursor >> 6] |= std::uint64_t{1} << (cursor & 63);
+      std::size_t k = words + (cursor >> 6);
+      for (std::uint32_t h = 0; h < height; ++h) {
+        ++counts[k];
+        k >>= 1;
+      }
+      slot_ids[cursor] = id;
+      mark.slot = static_cast<std::uint32_t>(cursor);
+      ++cursor;
     }
-    return {distinct, n_left};
+    return live;
   }
 
-  // Stable binary radix partition of the node's segment into the twin
-  // buffer: the left child (bit B_level == 0) lands at [begin, begin+n_left),
-  // the right child at [begin+n_left, end). Children read the twin buffer —
-  // the parity rule "level L lives in bufs_[L & 1]" holds globally because
-  // every node only ever writes inside its own segment (the dispatched
-  // kernels guarantee the same containment: masked stores never touch a
-  // byte outside the two runs). The id and address lanes are permuted
-  // identically, which is what preserves the SoA mirror invariant.
-  void Partition(const Frame& node, std::size_t n_left) {
+  // Moves the live marks of a full window to slots [0, k) in their current
+  // order, rebuilds the bitset and counts for that layout, and returns k,
+  // the first free slot.
+  static std::size_t Renumber(std::uint64_t* bits, std::uint32_t* counts,
+                              std::uint32_t* slot_ids, std::size_t words,
+                              IdMark* marks) {
+    std::size_t k = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+        const std::uint32_t id = slot_ids[w * 64 + std::countr_zero(word)];
+        slot_ids[k] = id;
+        marks[id].slot = static_cast<std::uint32_t>(k);
+        ++k;
+      }
+    }
+    // ScanNode's bound argument; checked here too because a full window
+    // would otherwise be written past its end.
+    CES_CHECK(k < 64 * words);
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::size_t ones =
+          std::min<std::size_t>(64, k - std::min(k, 64 * w));
+      bits[w] = ones == 0 ? 0 : ~std::uint64_t{0} >> (64 - ones);
+      counts[words + w] = static_cast<std::uint32_t>(ones);
+    }
+    for (std::size_t j = words; j-- > 1;) {
+      counts[j] = counts[2 * j] + counts[2 * j + 1];
+    }
+    return k;
+  }
+
+  // Counts the node's bit-B_level zeros (a dedicated vectorizable pass over
+  // the SoA address lane) and stably partitions its segment into the twin
+  // buffer: the left child (bit B_level == 0) lands at [begin, mid), the
+  // right child at [mid, end). Children read the twin buffer — the parity
+  // rule holds globally because every node only ever writes inside its own
+  // segment (the dispatched kernels guarantee the same containment: masked
+  // stores never touch a byte outside the two runs). The id and address
+  // lanes are permuted identically, which is what preserves the SoA mirror
+  // invariant. Returns mid.
+  std::size_t Split(const Frame& node) {
     const std::size_t parity = node.level & 1;
     const std::size_t twin = parity ^ 1;
-    const std::size_t mid = node.begin + n_left;
+    const std::size_t len = node.end - node.begin;
+    const std::uint32_t* addrs = addrs_[parity].get() + node.begin;
+    const std::size_t mid =
+        node.begin + kernels_.count_zero_bits(addrs, len, node.level);
     kernels_.partition_pair(
-        bufs_[parity].data() + node.begin,
-        addr_bufs_[parity].data() + node.begin, node.end - node.begin,
-        node.level, bufs_[twin].data() + node.begin,
-        addr_bufs_[twin].data() + node.begin, bufs_[twin].data() + mid,
-        addr_bufs_[twin].data() + mid);
+        Ids(node.level) + node.begin, addrs, len, node.level,
+        ids_[twin].get() + node.begin, addrs_[twin].get() + node.begin,
+        ids_[twin].get() + mid, addrs_[twin].get() + mid);
+    return mid;
   }
 
-  // Iterative DFS from `root`. Frames reaching `collect_level` are appended
-  // to subtrees_ (in increasing segment order, because children are pushed
-  // right-then-left) instead of being scanned; kNoCollect runs the subtree
-  // to the leaves.
-  void Traverse(Frame root, LaneScratch& lane, LevelTallies& tallies,
-                std::uint32_t collect_level) {
+  // Rows with fewer than two distinct references can never conflict at any
+  // deeper level either (their subsets only shrink) — prune, as Algorithm 1
+  // does for BCAT growth.
+  bool Splits(const Frame& node, std::size_t distinct) const {
+    return distinct >= 2 && node.level < max_bits_;
+  }
+
+  // Iterative DFS from `root` down to the leaves.
+  void Traverse(const Frame& root, LaneScratch& lane, LevelTallies& tallies) {
     lane.frames.clear();
     lane.frames.push_back(root);
     while (!lane.frames.empty()) {
       const Frame node = lane.frames.back();
       lane.frames.pop_back();
-      if (node.level == collect_level) {
-        subtrees_.push_back(node);
-        continue;
-      }
-      const auto [distinct, n_left] = ScanNode(node, lane, tallies);
-      // Rows with fewer than two distinct references can never conflict at
-      // any deeper level either (their subsets only shrink) — prune, as
-      // Algorithm 1 does for BCAT growth.
-      if (distinct < 2 || node.level >= max_bits_) continue;
-      Partition(node, n_left);
-      const std::size_t mid = node.begin + n_left;
+      const std::size_t distinct =
+          ScanNode(node, lane, tallies, marks_.data(), ++lane.epoch);
+      if (!Splits(node, distinct)) continue;
+      const std::size_t mid = Split(node);
       if (mid < node.end) {
-        lane.frames.push_back({node.level + 1, mid, node.end});
+        lane.frames.push_back({node.level + 1, mid, node.end, distinct});
       }
       if (node.begin < mid) {
-        lane.frames.push_back({node.level + 1, node.begin, mid});
+        lane.frames.push_back({node.level + 1, node.begin, mid, distinct});
       }
     }
   }
 
-  // Contiguous, reference-count-balanced assignment of subtrees to chunks.
-  // Contiguity is what lets the chunk-order merge equal the subtree-order
-  // (and hence serial) sums; the balancing only moves wall-clock time.
-  void PlanChunks() {
-    const std::size_t jobs = chunk_bounds_.size() - 1;
-    std::uint64_t total = 0;
-    for (const Frame& subtree : subtrees_) total += subtree.end - subtree.begin;
-    std::uint64_t taken = 0;
-    std::size_t next = 0;
-    for (std::size_t chunk = 0; chunk < jobs; ++chunk) {
-      chunk_bounds_[chunk] = next;
-      const std::uint64_t target = total * (chunk + 1) / jobs;
-      while (next < subtrees_.size() && taken < target) {
-        taken += subtrees_[next].end - subtrees_[next].begin;
-        ++next;
-      }
+  // Splits a node above the cut that holds `distinct` ids and queues its
+  // non-empty children. Nodes run as tasks only
+  // once their parent is done, and concurrent tasks own disjoint segments
+  // of both buffers, so no partition can overwrite data a running scan
+  // reads.
+  void QueueChildren(const Frame& node, std::size_t distinct) {
+    if (!Splits(node, distinct)) return;
+    const std::size_t mid = Split(node);
+    const Frame children[2] = {{node.level + 1, node.begin, mid, distinct},
+                               {node.level + 1, mid, node.end, distinct}};
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    for (const Frame& child : children) {
+      if (child.begin == child.end) continue;
+      queue_[queue_tail_++] = child;
+      ++pending_;
     }
-    chunk_bounds_[jobs] = subtrees_.size();
   }
 
-  void RunChunk(std::size_t chunk) {
-    LaneScratch& lane = chunk_lanes_[chunk];
-    // Epochs above everything phase 1 stamped: a lane may then share the
-    // per-id arrays with phase 1 (and, because subtree ids are disjoint,
-    // with every other lane) without clearing them.
-    lane.epoch = static_cast<std::uint32_t>(main_.nodes);
-    for (std::size_t s = chunk_bounds_[chunk]; s < chunk_bounds_[chunk + 1];
-         ++s) {
-      Traverse(subtrees_[s], lane, chunk_tallies_[chunk], kNoCollect);
+  // The pool body: chunk 0 first scans the root, then every chunk takes
+  // nodes from the queue (oldest first, so the top of the tree goes
+  // first) until no node is queued or running.
+  void RunTasks(std::size_t chunk) {
+    LaneScratch& lane = lanes_[chunk];
+    LevelTallies& tallies = TalliesFor(chunk);
+    if (chunk == 0) ScanNode(root_, lane, tallies, root_marks_.data(), 1);
+    lane.epoch = std::uint32_t{2} << cut_;
+    for (;;) {
+      Frame node;
+      std::uint32_t epoch;
+      {
+        std::unique_lock<std::mutex> lock(queue_mutex_);
+        queue_ready_.wait(lock, [this] {
+          return queue_head_ < queue_tail_ || pending_ == 0;
+        });
+        if (queue_head_ == queue_tail_) return;
+        node = queue_[queue_head_++];
+        epoch = static_cast<std::uint32_t>(queue_head_);
+      }
+      if (node.level == cut_) {
+        Traverse(node, lane, tallies);
+      } else {
+        QueueChildren(node,
+                      ScanNode(node, lane, tallies, marks_.data(), epoch));
+      }
+      {
+        std::lock_guard<std::mutex> lock(queue_mutex_);
+        --pending_;
+      }
+      // Wakes waiters for the children just queued, or to finish.
+      queue_ready_.notify_all();
     }
   }
 
   const trace::StrippedTrace& stripped_;
   const std::vector<std::uint32_t>& unique_;
   const std::uint32_t max_bits_;
-  const bool use_tree_;
   const FusedPreludeOptions& options_;
-
   const support::simd::Kernels& kernels_;
+  const Frame root_;
+
   std::uint32_t cut_ = 0;
-  std::size_t pool_jobs_ = 1;
   std::vector<std::size_t> caps_;
-  std::vector<std::uint32_t> bufs_[2];
-  std::vector<std::uint32_t> addr_bufs_[2];  // SoA twin: unique_[id] per slot
-  std::vector<std::uint32_t> epoch_of_;  // per id: epoch of last sighting
-  std::vector<std::size_t> last_pos_;    // per id: position within the node
+  std::unique_ptr<std::uint32_t[]> ids_[2];
+  std::unique_ptr<std::uint32_t[]> addrs_[2];  // SoA twin: unique_[id]
+  std::vector<IdMark> marks_;       // per id; empty if no node can use it
+  std::vector<IdMark> root_marks_;  // per id, for the root's scan
   LevelTallies main_;
-  LaneScratch serial_lane_;
-  std::vector<Frame> subtrees_;
-  std::vector<std::size_t> chunk_bounds_;
-  std::vector<LaneScratch> chunk_lanes_;
-  std::vector<LevelTallies> chunk_tallies_;
+  std::vector<LaneScratch> lanes_;
+  std::vector<LevelTallies> chunk_tallies_;  // chunks 1..jobs-1
+  // Task queue of the parallel traversal: every node of levels 1..cut
+  // passes through it exactly once, so it never wraps.
+  std::vector<Frame> queue_;
+  std::size_t queue_head_ = 0;
+  std::size_t queue_tail_ = 0;
+  std::size_t pending_ = 0;  // nodes queued or running
+  std::mutex queue_mutex_;
+  std::condition_variable queue_ready_;
 };
 
 }  // namespace
@@ -457,15 +619,13 @@ class FusedTraversal {
 std::vector<cache::StackProfile> ComputeMissProfilesFused(
     const trace::StrippedTrace& stripped, std::uint32_t max_index_bits,
     const FusedPreludeOptions& options) {
-  return FusedTraversal(stripped, max_index_bits, /*use_tree=*/false, options)
-      .Run();
+  return FusedTraversal(stripped, max_index_bits, options).Run();
 }
 
 std::vector<cache::StackProfile> ComputeMissProfilesFusedTree(
     const trace::StrippedTrace& stripped, std::uint32_t max_index_bits,
     const FusedPreludeOptions& options) {
-  return FusedTraversal(stripped, max_index_bits, /*use_tree=*/true, options)
-      .Run();
+  return ComputeMissProfilesFused(stripped, max_index_bits, options);
 }
 
 }  // namespace ces::analytic

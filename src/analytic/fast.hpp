@@ -6,23 +6,25 @@
 // the trace. This engine does exactly that — and does it iteratively and
 // allocation-free. The bit-split of Algorithm 1 is a stable binary radix
 // partition: each implicit tree node owns a contiguous segment of a shared
-// reference buffer, scans it once (move-to-front stack or Bennett-Kruskal
-// Fenwick tree) to record the per-set LRU stack distance of every non-cold
-// occurrence into the per-level histogram, then partitions the segment in
-// place into a ping-pong twin buffer so both children are again contiguous
-// subranges. All scratch — the two id buffers, the explicit DFS stack, the
-// scan state, and every histogram (pre-sized from per-level residue-class
-// population bounds) — is allocated before the first node scan; the
-// traversal itself performs zero heap allocations, which
-// tests/fused_alloc_test.cpp pins down.
+// reference buffer, scans it once to record the per-set LRU stack distance
+// of every non-cold occurrence into the per-level histogram, then
+// partitions the segment into a ping-pong twin buffer so both children are
+// again contiguous subranges. Each node picks its scan by a cost model
+// (docs/ALGORITHM.md): a move-to-front stack where stacks are shallow, a
+// Bennett-Kruskal mark count over a window of 2x the level's distinct
+// bound where they are deep. All scratch — the two id buffers, the explicit
+// DFS stack, the scan state, the task queue and every histogram (pre-sized
+// from per-level residue-class population bounds) — is allocated before
+// the first node scan; the traversal itself performs zero heap
+// allocations, which tests/fused_alloc_test.cpp pins down.
 //
-// With a thread pool the traversal is *subtree-parallel*: the top of the
-// tree is partitioned serially down to a cut level L ~ log2(jobs *
-// overpartition), and the surviving level-L subtrees — whose segments are
-// disjoint — are fanned out as contiguous, length-balanced runs, one per
-// pool chunk, each tallying into a private partial histogram. Partials are
-// merged in subtree order, so profiles are byte-identical to the serial
-// traversal for every jobs value (docs/PARALLEL.md has the argument).
+// With a thread pool the top of the tree runs as node tasks: the root is
+// split, then every node above a cut level L ~ log2(jobs * overpartition)
+// is scanned, split and queues its children, each level-L subtree runs to
+// the leaves as one task, and the root's scan runs beside them. Each pool
+// chunk tallies into a private partial histogram; the merged integer sums
+// are byte-identical to the serial traversal for every jobs value
+// (docs/PARALLEL.md has the argument).
 //
 // The per-element hot loops — the split-bit count, the stable radix
 // partition, and the SoA address-lane fill that lets both stream instead of
@@ -30,8 +32,7 @@
 // support/simd.hpp (scalar or AVX2, CES_SIMD/--simd override, docs/SIMD.md).
 // Kernel selection never changes a byte of the output: the forced-path
 // differential sweep in tests/simd_dispatch_test.cpp pins scalar-vs-AVX2
-// identity of profiles and deterministic metrics across 100 traces at
-// jobs 1/2/8 for both scan variants.
+// identity of profiles and deterministic metrics at jobs 1/2/8.
 //
 // The result is the same vector of per-depth miss histograms the reference
 // engine produces, from which the optimal (D, A) set for ANY miss budget K
@@ -54,22 +55,24 @@ class ThreadPool;
 namespace ces::analytic {
 
 struct FusedPreludeOptions {
-  // Worker pool for the subtree fan-out. Null (or a one-job pool) selects
-  // the single-threaded whole-tree traversal; the histograms are
-  // byte-identical either way.
+  // Worker pool for the node tasks. Null (or a one-job pool) selects the
+  // single-threaded whole-tree traversal; the histograms are byte-identical
+  // either way.
   support::ThreadPool* pool = nullptr;
   // When provided, records the deterministic work counters
   // "explore.fused_nodes" (BCAT nodes scanned) and "explore.fused_refs"
   // (references scanned across all node subsequences — the fused engine's
   // honest total, <= (levels+1) * N and strictly less whenever subtrees
-  // prune), plus the volatile gauges "explore.cut_level" (the chosen cut
-  // depends on the pool size) and "explore.simd_kernel" (the
-  // support::simd::Level that ran — host-dependent); both are excluded from
-  // the deterministic metrics surface.
+  // prune), its split by node scan "explore.scan_mtf_refs" /
+  // "explore.scan_fenwick_refs", plus the volatile gauges
+  // "explore.cut_level" (the chosen cut depends on the pool size) and
+  // "explore.simd_kernel" (the support::simd::Level that ran —
+  // host-dependent); both are excluded from the deterministic metrics
+  // surface.
   support::MetricsRegistry* metrics = nullptr;
   // Target number of subtrees per worker at the cut level. Larger values
-  // partition more of the tree serially but balance skewed subtree sizes
-  // better; 4 is a good default (see docs/PARALLEL.md).
+  // cut the tree deeper, into more and smaller tasks; 4 is a good default
+  // (see docs/PARALLEL.md).
   std::uint32_t overpartition = 4;
   // Test/bench hook: invoked exactly once, after every scratch buffer has
   // been allocated and before the first node scan. Code running after the
@@ -86,10 +89,8 @@ std::vector<cache::StackProfile> ComputeMissProfilesFused(
     const trace::StrippedTrace& stripped, std::uint32_t max_index_bits,
     const FusedPreludeOptions& options = {});
 
-// Same traversal with the per-node scan done by the Bennett-Kruskal Fenwick
-// algorithm (O(n log n) per node) instead of the move-to-front stack
-// (O(n * stack depth)). Wins when reuse distances are long; the ablation
-// bench quantifies the crossover. Results are bit-identical.
+// Synonym of ComputeMissProfilesFused, kept for existing callers: the
+// traversal picks its scan per node now.
 std::vector<cache::StackProfile> ComputeMissProfilesFusedTree(
     const trace::StrippedTrace& stripped, std::uint32_t max_index_bits,
     const FusedPreludeOptions& options = {});

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analytic/fast.hpp"
+#include "support/metrics.hpp"
 #include "support/pool.hpp"
 #include "support/rng.hpp"
 #include "trace/strip.hpp"
@@ -49,7 +50,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 std::uint64_t CountTraversalAllocations(const ces::trace::StrippedTrace& s,
-                                        bool use_tree,
                                         ces::support::ThreadPool* pool) {
   ces::analytic::FusedPreludeOptions options;
   options.pool = pool;
@@ -57,34 +57,38 @@ std::uint64_t CountTraversalAllocations(const ces::trace::StrippedTrace& s,
     g_allocations.store(0, std::memory_order_relaxed);
     g_counting.store(true, std::memory_order_relaxed);
   };
-  const auto profiles =
-      use_tree ? ces::analytic::ComputeMissProfilesFusedTree(s, 8, options)
-               : ces::analytic::ComputeMissProfilesFused(s, 8, options);
+  const auto profiles = ces::analytic::ComputeMissProfilesFused(s, 8, options);
   g_counting.store(false, std::memory_order_relaxed);
   EXPECT_EQ(profiles.size(), 9u);
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+// N' is about 2.2k, so the top of the tree takes the Bennett-Kruskal scan
+// (window renumberings included) and the bottom the move-to-front scan.
 ces::trace::StrippedTrace TestStripped() {
   ces::Rng rng(42);
   return ces::trace::Strip(ces::trace::LocalityMix(rng, 128, 2048, 50000));
 }
 
+// Pins that the counted traversals below exercise both scans; counted
+// separately because recording metrics allocates.
+TEST(FusedAllocTest, TestTraceRunsBothScans) {
+  ces::support::MetricsRegistry metrics;
+  ces::analytic::FusedPreludeOptions options;
+  options.metrics = &metrics;
+  (void)ces::analytic::ComputeMissProfilesFused(TestStripped(), 8, options);
+  EXPECT_GT(metrics.counter("explore.scan_fenwick_refs"), 0u);
+  EXPECT_GT(metrics.counter("explore.scan_mtf_refs"), 0u);
+}
+
 TEST(FusedAllocTest, SerialTraversalIsAllocationFree) {
-  const auto stripped = TestStripped();
-  for (const bool use_tree : {false, true}) {
-    EXPECT_EQ(CountTraversalAllocations(stripped, use_tree, nullptr), 0u)
-        << "use_tree=" << use_tree;
-  }
+  EXPECT_EQ(CountTraversalAllocations(TestStripped(), nullptr), 0u);
 }
 
 TEST(FusedAllocTest, ParallelTraversalAllocatesAtMostDispatchConstant) {
   const auto stripped = TestStripped();
   ces::support::ThreadPool pool(8);
-  for (const bool use_tree : {false, true}) {
-    EXPECT_LE(CountTraversalAllocations(stripped, use_tree, &pool), 16u)
-        << "use_tree=" << use_tree;
-  }
+  EXPECT_LE(CountTraversalAllocations(stripped, &pool), 16u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "cache/stack.hpp"
 #include "cache/sweep.hpp"
 #include "explore/strategy.hpp"
+#include "fused_sweep_traces.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/pool.hpp"
@@ -190,60 +191,48 @@ TEST(ParallelDeterminismTest, PerDepthPreludeMatchesFusedTraversal) {
   }
 }
 
-// Differential sweep for the subtree-parallel fused prelude: both scan
-// variants, jobs in {1, 2, 8}, over the paper example plus 100 random
-// synthetic traces. Profiles AND the deterministic metrics surface (the
-// explore.fused_nodes / explore.fused_refs work counters) must be
-// byte-identical to the serial traversal — the cut level, chunking and merge
-// order may never leak into results.
+// Differential sweep for the parallel fused prelude, jobs in {1, 2, 8},
+// over the paper example, 100 small random traces and the scan-mix traces
+// of fused_sweep_traces.hpp. Profiles must equal the per-depth oracle, and
+// the deterministic metrics surface (the explore.fused_* work counters and
+// their explore.scan_* split) must be byte-identical to the serial
+// traversal's — the cut level, task order and merge may never leak into
+// results. The scan-mix traces must also run both scans.
 TEST(ParallelDeterminismTest, FusedSubtreeParallelDifferentialSweep) {
-  std::vector<ces::trace::Trace> traces;
-  traces.push_back(ces::trace::PaperExampleTrace());
-  ces::Rng rng(20260806);
-  while (traces.size() < 101) {
-    const auto length = static_cast<std::uint32_t>(rng.NextInRange(20, 1500));
-    if (traces.size() % 2 == 0) {
-      const auto working = static_cast<std::uint32_t>(rng.NextInRange(2, 500));
-      traces.push_back(ces::trace::RandomWorkingSet(rng, working, length));
-    } else {
-      const auto hot = static_cast<std::uint32_t>(rng.NextInRange(1, 64));
-      const auto cold = static_cast<std::uint32_t>(rng.NextInRange(1, 512));
-      traces.push_back(ces::trace::LocalityMix(rng, hot, cold, length));
-    }
-  }
-
   ces::support::ThreadPool pool2(2);
   ces::support::ThreadPool pool8(8);
-  for (std::size_t t = 0; t < traces.size(); ++t) {
-    SCOPED_TRACE("trace " + std::to_string(t));
-    const auto stripped = ces::trace::Strip(traces[t]);
-    for (const bool use_tree : {false, true}) {
-      std::vector<StackProfile> expected;
-      std::string expected_metrics;
-      for (ces::support::ThreadPool* pool :
-           {static_cast<ces::support::ThreadPool*>(nullptr), &pool2, &pool8}) {
-        ces::support::MetricsRegistry metrics;
-        ces::analytic::FusedPreludeOptions options;
-        options.pool = pool;
-        options.metrics = &metrics;
-        const auto profiles =
-            use_tree ? ces::analytic::ComputeMissProfilesFusedTree(stripped, 6,
-                                                                   options)
-                     : ces::analytic::ComputeMissProfilesFused(stripped, 6,
-                                                               options);
-        const std::string json = metrics.ToJson(/*include_volatile=*/false);
-        if (expected.empty()) {
-          expected = profiles;
-          expected_metrics = json;
-        } else {
-          ASSERT_EQ(profiles.size(), expected.size());
-          for (std::size_t i = 0; i < profiles.size(); ++i) {
-            ExpectSameProfile(profiles[i], expected[i]);
-          }
-          EXPECT_EQ(json, expected_metrics)
-              << "use_tree=" << use_tree << " jobs "
-              << (pool == nullptr ? 1u : pool->jobs());
+  for (const ces_test::SweepTrace& sweep : ces_test::FusedSweepTraces()) {
+    SCOPED_TRACE(sweep.name);
+    const auto stripped = ces::trace::Strip(sweep.trace);
+    const auto oracle = ces::cache::ComputeAllDepthProfiles(
+        stripped, sweep.max_bits, nullptr, /*use_tree=*/true);
+    std::string expected_metrics;
+    for (ces::support::ThreadPool* pool :
+         {static_cast<ces::support::ThreadPool*>(nullptr), &pool2, &pool8}) {
+      const unsigned jobs = pool == nullptr ? 1u : pool->jobs();
+      ces::support::MetricsRegistry metrics;
+      ces::analytic::FusedPreludeOptions options;
+      options.pool = pool;
+      options.metrics = &metrics;
+      const auto profiles = ces::analytic::ComputeMissProfilesFused(
+          stripped, sweep.max_bits, options);
+      ASSERT_EQ(profiles.size(), oracle.size());
+      for (std::size_t i = 0; i < profiles.size(); ++i) {
+        ExpectSameProfile(profiles[i], oracle[i]);
+      }
+      const std::string json = metrics.ToJson(/*include_volatile=*/false);
+      if (pool == nullptr) {
+        expected_metrics = json;
+        const std::uint64_t mtf = metrics.counter("explore.scan_mtf_refs");
+        const std::uint64_t fenwick =
+            metrics.counter("explore.scan_fenwick_refs");
+        EXPECT_EQ(mtf + fenwick, metrics.counter("explore.fused_refs"));
+        if (sweep.scan_mix) {
+          EXPECT_GT(mtf, 0u);
+          EXPECT_GT(fenwick, 0u);
         }
+      } else {
+        EXPECT_EQ(json, expected_metrics) << "jobs " << jobs;
       }
     }
   }

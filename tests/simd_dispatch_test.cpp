@@ -15,6 +15,7 @@
 #include "analytic/explorer.hpp"
 #include "analytic/fast.hpp"
 #include "cache/stack.hpp"
+#include "fused_sweep_traces.hpp"
 #include "support/metrics.hpp"
 #include "support/pool.hpp"
 #include "support/rng.hpp"
@@ -272,11 +273,13 @@ void ExpectSameProfile(const StackProfile& a, const StackProfile& b) {
 }
 
 // The end-to-end identity gate: force scalar, then force AVX2, over the
-// paper example plus 100 random traces, both scan variants, jobs 1/2/8.
-// Profiles and the deterministic metrics surface must be byte-identical —
-// kernel selection is an implementation detail that may never reach results.
-// Mirrors FusedSubtreeParallelDifferentialSweep, with the kernel level as
-// the differential axis instead of the pool size.
+// trace set of fused_sweep_traces.hpp (the paper example, 100 small random
+// traces and the scan-mix traces), jobs 1/2/8. Profiles must equal the
+// per-depth oracle and the deterministic metrics surface must be
+// byte-identical across levels — kernel selection is an implementation
+// detail that may never reach results. Mirrors
+// FusedSubtreeParallelDifferentialSweep, with the kernel level as the
+// differential axis instead of the pool size.
 TEST(SimdDispatchTest, ForcedPathDifferentialSweep) {
   if (!Avx2KernelsAvailable()) {
     GTEST_SKIP() << "AVX2 kernels unavailable (detected="
@@ -285,56 +288,39 @@ TEST(SimdDispatchTest, ForcedPathDifferentialSweep) {
   }
   ForcedLevelGuard guard;
 
-  std::vector<ces::trace::Trace> traces;
-  traces.push_back(ces::trace::PaperExampleTrace());
-  ces::Rng rng(20260806);
-  while (traces.size() < 101) {
-    const auto length = static_cast<std::uint32_t>(rng.NextInRange(20, 1500));
-    if (traces.size() % 2 == 0) {
-      const auto working = static_cast<std::uint32_t>(rng.NextInRange(2, 500));
-      traces.push_back(ces::trace::RandomWorkingSet(rng, working, length));
-    } else {
-      const auto hot = static_cast<std::uint32_t>(rng.NextInRange(1, 64));
-      const auto cold = static_cast<std::uint32_t>(rng.NextInRange(1, 512));
-      traces.push_back(ces::trace::LocalityMix(rng, hot, cold, length));
-    }
-  }
-
   ces::support::ThreadPool pool2(2);
   ces::support::ThreadPool pool8(8);
-  for (std::size_t t = 0; t < traces.size(); ++t) {
-    SCOPED_TRACE("trace " + std::to_string(t));
-    const auto stripped = ces::trace::Strip(traces[t]);
-    for (const bool use_tree : {false, true}) {
-      for (ces::support::ThreadPool* pool :
-           {static_cast<ces::support::ThreadPool*>(nullptr), &pool2, &pool8}) {
-        std::vector<StackProfile> expected;
-        std::string expected_metrics;
-        for (const simd::Level level :
-             {simd::Level::kScalar, simd::Level::kAvx2}) {
-          simd::ForceLevel(level);
-          ces::support::MetricsRegistry metrics;
-          ces::analytic::FusedPreludeOptions options;
-          options.pool = pool;
-          options.metrics = &metrics;
-          const auto profiles =
-              use_tree ? ces::analytic::ComputeMissProfilesFusedTree(
-                             stripped, 6, options)
-                       : ces::analytic::ComputeMissProfilesFused(stripped, 6,
-                                                                 options);
-          const std::string json = metrics.ToJson(/*include_volatile=*/false);
-          if (expected.empty()) {
-            expected = profiles;
-            expected_metrics = json;
-          } else {
-            ASSERT_EQ(profiles.size(), expected.size());
-            for (std::size_t i = 0; i < profiles.size(); ++i) {
-              ExpectSameProfile(profiles[i], expected[i]);
-            }
-            EXPECT_EQ(json, expected_metrics)
-                << "use_tree=" << use_tree << " jobs "
-                << (pool == nullptr ? 1u : pool->jobs());
-          }
+  for (const ces_test::SweepTrace& sweep : ces_test::FusedSweepTraces()) {
+    SCOPED_TRACE(sweep.name);
+    const auto stripped = ces::trace::Strip(sweep.trace);
+    const auto oracle = ces::cache::ComputeAllDepthProfiles(
+        stripped, sweep.max_bits, nullptr, /*use_tree=*/true);
+    for (ces::support::ThreadPool* pool :
+         {static_cast<ces::support::ThreadPool*>(nullptr), &pool2, &pool8}) {
+      const unsigned jobs = pool == nullptr ? 1u : pool->jobs();
+      std::string expected_metrics;
+      for (const simd::Level level :
+           {simd::Level::kScalar, simd::Level::kAvx2}) {
+        simd::ForceLevel(level);
+        ces::support::MetricsRegistry metrics;
+        ces::analytic::FusedPreludeOptions options;
+        options.pool = pool;
+        options.metrics = &metrics;
+        const auto profiles = ces::analytic::ComputeMissProfilesFused(
+            stripped, sweep.max_bits, options);
+        ASSERT_EQ(profiles.size(), oracle.size());
+        for (std::size_t i = 0; i < profiles.size(); ++i) {
+          ExpectSameProfile(profiles[i], oracle[i]);
+        }
+        if (sweep.scan_mix) {
+          EXPECT_GT(metrics.counter("explore.scan_mtf_refs"), 0u);
+          EXPECT_GT(metrics.counter("explore.scan_fenwick_refs"), 0u);
+        }
+        const std::string json = metrics.ToJson(/*include_volatile=*/false);
+        if (expected_metrics.empty()) {
+          expected_metrics = json;
+        } else {
+          EXPECT_EQ(json, expected_metrics) << "jobs " << jobs;
         }
       }
     }

@@ -5,7 +5,8 @@
 //                     [--jobs=N] [--prelude=fused|per-depth]
 //                     (--prelude=per-depth opts into the one-pass-per-depth
 //                      cross-validation baseline; the default fused traversal
-//                      is subtree-parallel when --jobs > 1)
+//                      runs in parallel when --jobs > 1; fused-tree is a
+//                      synonym of fused)
 //   cachedse explore-joint --trace=WORKLOAD | --trace-instr=F --trace-data=F
 //                     [--space=default|small] [--l1i-depths=16,32 ...]
 //                     [--l1i-policy=lru|fifo|random|plru ...] [--prune=true]
