@@ -31,7 +31,12 @@ std::string CacheConfig::ToString() const {
          ces::cache::ToString(write_policy);
 }
 
-Cache::Cache(const CacheConfig& config) : config_(config), rng_(0xCACE5EED) {
+Cache::Cache(const CacheConfig& config)
+    : config_(config),
+      line_bits_(config.line_bits()),
+      index_bits_(config.index_bits()),
+      plru_levels_(CeilLog2(config.assoc)),
+      rng_(0xCACE5EED) {
   CES_CHECK(config_.IsValid());
   ways_.assign(static_cast<std::size_t>(config_.depth) * config_.assoc, Way{});
   order_.resize(ways_.size());
@@ -52,9 +57,9 @@ AccessOutcome Cache::Access(std::uint32_t addr, bool is_write,
                             Eviction* eviction) {
   if (eviction != nullptr) *eviction = Eviction{};
   ++stats_.accesses;
-  const std::uint32_t line = addr >> config_.line_bits();
+  const std::uint32_t line = addr >> line_bits_;
   const std::uint32_t set = line & (config_.depth - 1);
-  const std::uint32_t tag = line >> config_.index_bits();
+  const std::uint32_t tag = line >> index_bits_;
   const std::size_t base = static_cast<std::size_t>(set) * config_.assoc;
 
   const bool write_through =
@@ -88,8 +93,7 @@ AccessOutcome Cache::Access(std::uint32_t addr, bool is_write,
     if (eviction != nullptr) {
       eviction->valid = true;
       eviction->dirty = entry.dirty;
-      eviction->addr = ((entry.tag << config_.index_bits()) | set)
-                       << config_.line_bits();
+      eviction->addr = ((entry.tag << index_bits_) | set) << line_bits_;
     }
   }
   entry = Way{.tag = tag, .valid = true, .dirty = is_write};
@@ -148,10 +152,8 @@ void Cache::TouchOnFill(std::uint32_t set, std::uint32_t way) {
     case ReplacementPolicy::kRandom:
       break;
     case ReplacementPolicy::kPlru: {
-      std::uint32_t levels = 0;
-      while ((1u << levels) < config_.assoc) ++levels;
       std::uint32_t node = 1;
-      for (std::uint32_t l = levels; l-- > 0;) {
+      for (std::uint32_t l = plru_levels_; l-- > 0;) {
         const std::uint32_t direction = (way >> l) & 1u;
         plru_bits_[base + node] = static_cast<std::uint8_t>(direction ^ 1u);
         node = node * 2 + direction;

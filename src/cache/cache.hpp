@@ -72,6 +72,10 @@ class Cache {
   void TouchOnFill(std::uint32_t set, std::uint32_t way);
 
   CacheConfig config_;
+  // Derived from config_ once, not per access.
+  std::uint32_t line_bits_;
+  std::uint32_t index_bits_;
+  std::uint32_t plru_levels_;  // tree depth: log2(assoc)
   CacheStats stats_;
   std::vector<Way> ways_;  // set-major: ways_[set * assoc + way]
 

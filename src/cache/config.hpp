@@ -29,6 +29,13 @@ enum class WritePolicy : std::uint8_t {
 const char* ToString(ReplacementPolicy policy);
 const char* ToString(WritePolicy policy);
 
+// Smallest b with 2^b >= value (log2 of a power of two).
+inline std::uint32_t CeilLog2(std::uint32_t value) {
+  std::uint32_t bits = 0;
+  while ((1u << bits) < value) ++bits;
+  return bits;
+}
+
 struct CacheConfig {
   std::uint32_t depth = 1;       // number of sets; power of two
   std::uint32_t assoc = 1;       // ways per set
@@ -36,17 +43,8 @@ struct CacheConfig {
   ReplacementPolicy replacement = ReplacementPolicy::kLru;
   WritePolicy write_policy = WritePolicy::kWriteBackAllocate;
 
-  std::uint32_t index_bits() const {
-    std::uint32_t bits = 0;
-    while ((1u << bits) < depth) ++bits;
-    return bits;
-  }
-
-  std::uint32_t line_bits() const {
-    std::uint32_t bits = 0;
-    while ((1u << bits) < line_words) ++bits;
-    return bits;
-  }
+  std::uint32_t index_bits() const { return CeilLog2(depth); }
+  std::uint32_t line_bits() const { return CeilLog2(line_words); }
 
   std::uint64_t size_words() const {
     return static_cast<std::uint64_t>(depth) * assoc * line_words;

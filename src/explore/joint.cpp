@@ -1,7 +1,9 @@
 #include "explore/joint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -9,10 +11,10 @@
 #include "cache/cache.hpp"
 #include "cache/energy.hpp"
 #include "explore/pareto.hpp"
+#include "support/check.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
 #include "support/pool.hpp"
-#include "trace/strip.hpp"
 
 namespace ces::explore {
 
@@ -22,12 +24,6 @@ using cache::CacheConfig;
 using cache::HierarchyConfig;
 using support::Error;
 using support::ErrorCategory;
-
-std::uint32_t BitsFor(std::uint32_t depth) {
-  std::uint32_t bits = 0;
-  while ((1u << bits) < depth) ++bits;
-  return bits;
-}
 
 std::vector<std::uint32_t> SortedUnique(std::vector<std::uint32_t> values) {
   std::sort(values.begin(), values.end());
@@ -130,7 +126,8 @@ struct LevelProfiles {
   std::uint64_t Warm(std::uint32_t line, std::uint32_t depth,
                      std::uint32_t assoc) const {
     const PerLine& per = by_line.at(line);
-    const std::uint32_t bits = std::min(BitsFor(depth), per.max_index_bits);
+    const std::uint32_t bits =
+        std::min(cache::CeilLog2(depth), per.max_index_bits);
     return per.profiles[bits].MissesAtAssoc(assoc);
   }
 
@@ -168,21 +165,111 @@ LevelProfiles::PerLine ProfileOneLine(const trace::Trace& stream,
   return per;
 }
 
-LevelProfiles BuildProfiles(const trace::Trace& stream,
-                            const std::vector<std::uint32_t>& lines,
-                            std::uint32_t max_index_bits,
-                            analytic::Engine engine, std::uint32_t jobs) {
+// The accesses of one stream kind that can miss a write-back/allocate L1
+// with a given line size: the first access of every run of consecutive
+// same-line accesses of that kind (the other kind's accesses in between go
+// to the other L1), in merged order. Every later access of a run hits the
+// line its run start just touched, and under LRU, FIFO, PLRU and random
+// replacement such a hit changes no replacement state. So the run starts
+// alone, each carrying the OR of its run's write flags, reproduce every
+// miss, victim and write-back of the full stream.
+struct RunStarts {
+  trace::Trace stream;                   // run-start word addresses
+  std::vector<std::uint32_t> positions;  // their merged-stream positions
+  std::vector<std::uint8_t> writes;      // OR of each run's write flags
+};
+
+struct CollapsedStreams {
+  RunStarts instr;
+  RunStarts data;
+
+  const RunStarts& Of(trace::StreamKind kind) const {
+    return kind == trace::StreamKind::kInstruction ? instr : data;
+  }
+};
+
+CollapsedStreams CollapseRuns(const trace::AccessSequence& accesses,
+                              std::uint32_t line_words) {
+  if (accesses.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw Error(ErrorCategory::kRange, "joint",
+                "merged stream of " + std::to_string(accesses.size()) +
+                    " accesses exceeds 2^32 - 1 positions");
+  }
+  const std::uint32_t line_bits = cache::CeilLog2(line_words);
+  CollapsedStreams runs;
+  runs.instr.stream.kind = trace::StreamKind::kInstruction;
+  runs.data.stream.kind = trace::StreamKind::kData;
+  std::uint32_t last_line[2] = {0, 0};
+  for (std::size_t p = 0; p < accesses.size(); ++p) {
+    const trace::Access& access = accesses[p];
+    const bool instr = access.kind == trace::StreamKind::kInstruction;
+    RunStarts& kind_runs = instr ? runs.instr : runs.data;
+    const std::uint32_t line = access.addr >> line_bits;
+    if (!kind_runs.positions.empty() && last_line[instr] == line) {
+      kind_runs.writes.back() |= access.is_write ? 1 : 0;
+      continue;
+    }
+    last_line[instr] = line;
+    kind_runs.stream.refs.push_back(access.addr);
+    kind_runs.positions.push_back(static_cast<std::uint32_t>(p));
+    kind_runs.writes.push_back(access.is_write ? 1 : 0);
+  }
+  return runs;
+}
+
+// Floor profiles of one stream kind, one per L1 line size, over that line
+// size's collapsed stream. A collapsed repeat has stack distance 0 at every
+// depth, so only hist[0] is smaller than the full stream's: cold and every
+// MissesAtAssoc(A >= 1) are unchanged.
+LevelProfiles BuildProfiles(
+    const std::map<std::uint32_t, CollapsedStreams>& collapsed,
+    trace::StreamKind kind, std::uint32_t max_index_bits,
+    analytic::Engine engine, std::uint32_t jobs) {
   LevelProfiles profiles;
-  for (std::uint32_t line : lines) {
-    profiles.by_line.emplace(
-        line, ProfileOneLine(stream, line, max_index_bits, engine, jobs));
+  for (const auto& [line, runs] : collapsed) {
+    profiles.by_line.emplace(line, ProfileOneLine(runs.Of(kind).stream, line,
+                                                  max_index_bits, engine,
+                                                  jobs));
   }
   return profiles;
 }
 
-// Everything one (L1I, L1D) simulation yields: the per-level L1 counts and,
-// via one fused prelude per L2 line size over the captured L2 stream, exact
-// LRU L2 miss counts for EVERY L2 (depth, assoc) at once.
+// What one L1 geometry does on its own stream kind: which merged positions
+// miss, and the dirty victim each write-back sends to the L2.
+struct L1Events {
+  std::vector<std::uint64_t> miss_bits;  // bit p set: merged access p misses
+  std::vector<std::pair<std::uint32_t, std::uint32_t>>
+      writebacks;  // (merged position, victim address), in position order
+  std::uint64_t misses = 0;
+};
+
+L1Events SimulateL1(const CacheConfig& config, const RunStarts& runs,
+                    std::size_t n_accesses) {
+  // The run collapse is exact only for write-back/allocate, the one L1
+  // policy the joint space builds.
+  CES_CHECK(config.write_policy == cache::WritePolicy::kWriteBackAllocate);
+  cache::Cache l1(config);
+  L1Events events;
+  events.miss_bits.assign((n_accesses + 63) / 64, 0);
+  for (std::size_t r = 0; r < runs.positions.size(); ++r) {
+    cache::Eviction eviction;
+    if (l1.Access(runs.stream.refs[r], runs.writes[r] != 0, &eviction) ==
+        cache::AccessOutcome::kHit) {
+      continue;
+    }
+    const std::uint32_t p = runs.positions[r];
+    events.miss_bits[p / 64] |= std::uint64_t{1} << (p % 64);
+    if (eviction.valid && eviction.dirty) {
+      events.writebacks.emplace_back(p, eviction.addr);
+    }
+  }
+  events.misses = l1.stats().misses;
+  return events;
+}
+
+// Everything one (L1I, L1D) pair yields: the per-level L1 counts and, via
+// one fused prelude per L2 line size over the pair's L2 stream, exact LRU L2
+// miss counts for EVERY L2 (depth, assoc) at once.
 struct PairOutcome {
   std::uint64_t l1i_misses = 0;
   std::uint64_t l1d_misses = 0;
@@ -190,33 +277,40 @@ struct PairOutcome {
   std::map<std::uint32_t, LevelProfiles::PerLine> l2_by_line;
 };
 
-PairOutcome SimulatePair(const trace::AccessSequence& accesses,
-                         const Pair& pair,
+PairOutcome EvaluatePair(const trace::AccessSequence& accesses,
+                         const L1Events& instr, const L1Events& data,
                          const std::vector<std::uint32_t>& l2_lines,
                          std::uint32_t l2_max_bits, analytic::Engine engine) {
-  cache::Cache l1i(pair.l1i);
-  cache::Cache l1d(pair.l1d);
-  std::vector<std::uint32_t> l2_stream;
-  l2_stream.reserve(accesses.size() / 4 + 16);
-  for (const trace::Access& access : accesses) {
-    cache::Cache& l1 =
-        access.kind == trace::StreamKind::kInstruction ? l1i : l1d;
-    cache::Eviction eviction;
-    const cache::AccessOutcome outcome =
-        l1.Access(access.addr, access.is_write, &eviction);
-    // Same L2-stream order as cache::TwoLevelCache: refill, then the dirty
-    // victim's write-back.
-    if (outcome != cache::AccessOutcome::kHit) l2_stream.push_back(access.addr);
-    if (eviction.valid && eviction.dirty) l2_stream.push_back(eviction.addr);
+  // The L2 stream in cache::TwoLevelCache order: at every merged position
+  // that misses its L1, the refill, then the dirty victim's write-back. The
+  // two L1s' miss positions are disjoint (each position has one kind).
+  trace::Trace stream;
+  stream.kind = trace::StreamKind::kData;
+  stream.refs.reserve(instr.misses + data.misses + instr.writebacks.size() +
+                      data.writebacks.size());
+  auto next_i = instr.writebacks.begin();
+  auto next_d = data.writebacks.begin();
+  const auto push_writeback = [&](auto& next, const L1Events& events,
+                                  std::uint32_t p) {
+    if (next != events.writebacks.end() && next->first == p) {
+      stream.refs.push_back((next++)->second);
+    }
+  };
+  for (std::size_t w = 0; w < instr.miss_bits.size(); ++w) {
+    for (std::uint64_t bits = instr.miss_bits[w] | data.miss_bits[w];
+         bits != 0; bits &= bits - 1) {
+      const auto p =
+          static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+      stream.refs.push_back(accesses[p].addr);
+      push_writeback(next_i, instr, p);
+      push_writeback(next_d, data, p);
+    }
   }
 
   PairOutcome outcome;
-  outcome.l1i_misses = l1i.stats().misses;
-  outcome.l1d_misses = l1d.stats().misses;
-  outcome.l1d_writebacks = l1d.stats().writebacks;
-  trace::Trace stream;
-  stream.refs = std::move(l2_stream);
-  stream.kind = trace::StreamKind::kData;
+  outcome.l1i_misses = instr.misses;
+  outcome.l1d_misses = data.misses;
+  outcome.l1d_writebacks = data.writebacks.size();
   for (std::uint32_t line : l2_lines) {
     // jobs = 1: pair evaluations are already fanned out across the pool.
     outcome.l2_by_line.emplace(
@@ -427,10 +521,14 @@ JointMetrics EvaluateJointConfig(const trace::AccessSequence& accesses,
   for (const trace::Access& access : accesses) {
     if (access.kind == trace::StreamKind::kInstruction) ++n_instr;
   }
-  const Pair pair{config.l1i, config.l1d};
-  const PairOutcome outcome =
-      SimulatePair(accesses, pair, {config.l2.line_words},
-                   config.l2.index_bits(), engine);
+  const CollapsedStreams runs = CollapseRuns(accesses, config.l1i.line_words);
+  const PairOutcome outcome = EvaluatePair(
+      accesses,
+      SimulateL1(config.l1i, runs.Of(trace::StreamKind::kInstruction),
+                 accesses.size()),
+      SimulateL1(config.l1d, runs.Of(trace::StreamKind::kData),
+                 accesses.size()),
+      {config.l2.line_words}, config.l2.index_bits(), engine);
   return ScoreConfig(outcome, config, n_instr, accesses.size() - n_instr);
 }
 
@@ -569,6 +667,7 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
                                   result.threshold_pruned_pairs);
     support::MetricsRegistry::Add(m, "explore.joint_seeds",
                                   result.seed_pairs);
+    support::MetricsRegistry::Add(m, "explore.joint_l1_sims", result.l1_sims);
     support::MetricsRegistry::Add(m, "explore.joint_front",
                                   result.front.size());
     support::MetricsRegistry::Observe(m, "explore.joint", result.seconds);
@@ -587,10 +686,29 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
 
   std::uint32_t l2_max_bits = 0;
   for (std::uint32_t depth : space.l2.depths) {
-    l2_max_bits = std::max(l2_max_bits, BitsFor(depth));
+    l2_max_bits = std::max(l2_max_bits, cache::CeilLog2(depth));
   }
 
   support::ThreadPool pool(jobs, options.metrics);
+
+  // One run-collapsed stream pair per L1 line size in play.
+  std::map<std::uint32_t, CollapsedStreams> collapsed;
+  for (const Pair& pair : pairs) {
+    const std::uint32_t line = pair.l1i.line_words;
+    if (!collapsed.contains(line)) {
+      collapsed.emplace(line, CollapseRuns(accesses, line));
+    }
+  }
+
+  // L1 events per geometry (stream kind, line, depth, assoc). An L1 is set
+  // by its own stream alone, so each geometry is simulated at most once per
+  // call, just before the first batch that needs it.
+  using Geometry = std::tuple<trace::StreamKind, std::uint32_t, std::uint32_t,
+                              std::uint32_t>;
+  const auto geometry = [](trace::StreamKind kind, const CacheConfig& l1) {
+    return Geometry{kind, l1.line_words, l1.depth, l1.assoc};
+  };
+  std::map<Geometry, L1Events> l1_events;
 
   // Evaluates pairs[indices[s]] against its surviving L2 configurations.
   // Output slots are pre-sized and merged in index order, so the resulting
@@ -598,11 +716,45 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
   const auto evaluate = [&](const std::vector<std::size_t>& indices,
                             const std::vector<std::vector<std::uint32_t>>&
                                 surviving) {
+    // Geometries this batch needs and no earlier batch simulated. Map
+    // iterators stay valid while other nodes are added.
+    std::vector<std::pair<const CacheConfig*,
+                          std::map<Geometry, L1Events>::iterator>>
+        fresh;
+    const auto need = [&](trace::StreamKind kind, const CacheConfig& l1) {
+      const auto [it, inserted] = l1_events.try_emplace(geometry(kind, l1));
+      if (inserted) fresh.emplace_back(&l1, it);
+    };
+    for (std::size_t p : indices) {
+      need(trace::StreamKind::kInstruction, pairs[p].l1i);
+      need(trace::StreamKind::kData, pairs[p].l1d);
+    }
+    result.l1_sims += fresh.size();
+    pool.ParallelFor(fresh.size(), [&](std::size_t f) {
+      const auto& [l1, it] = fresh[f];
+      const trace::StreamKind kind = std::get<0>(it->first);
+      it->second = SimulateL1(*l1, collapsed.at(l1->line_words).Of(kind),
+                              accesses.size());
+    });
+
+    // The compulsory L2 floor is the L2 cold count of the first evaluated
+    // pair. Every distinct line's first touch misses its L1, and write-backs
+    // only carry lines already refilled, so every pair's L2 stream holds
+    // exactly the merged stream's distinct L2 lines.
+    const bool take_floor = result.l2_floor.empty();
     std::vector<std::vector<JointPoint>> slots(indices.size());
     pool.ParallelFor(indices.size(), [&](std::size_t s) {
       const Pair& pair = pairs[indices[s]];
-      const PairOutcome outcome =
-          SimulatePair(accesses, pair, space.l2.lines, l2_max_bits, engine);
+      const PairOutcome outcome = EvaluatePair(
+          accesses,
+          l1_events.at(geometry(trace::StreamKind::kInstruction, pair.l1i)),
+          l1_events.at(geometry(trace::StreamKind::kData, pair.l1d)),
+          space.l2.lines, l2_max_bits, engine);
+      if (s == 0 && take_floor) {
+        for (const auto& [line, per] : outcome.l2_by_line) {
+          result.l2_floor.emplace(line, per.cold);
+        }
+      }
       slots[s].reserve(surviving[s].size());
       for (std::uint32_t j : surviving[s]) {
         const HierarchyConfig config{pair.l1i, pair.l1d, l2s[j]};
@@ -632,43 +784,19 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
   // Split-stream LRU profiles: lower bounds for every L1 geometry (exact for
   // LRU), shared by the seed heuristic, the associativity-threshold rule and
   // the per-configuration bound.
-  trace::Trace instr_stream;
-  instr_stream.kind = trace::StreamKind::kInstruction;
-  trace::Trace data_stream;
-  data_stream.kind = trace::StreamKind::kData;
-  trace::Trace merged_stream;
-  for (const trace::Access& access : accesses) {
-    merged_stream.refs.push_back(access.addr);
-    if (access.kind == trace::StreamKind::kInstruction) {
-      instr_stream.refs.push_back(access.addr);
-    } else {
-      data_stream.refs.push_back(access.addr);
-    }
-  }
-  std::vector<std::uint32_t> l1_lines;
-  for (const Pair& pair : pairs) l1_lines.push_back(pair.l1i.line_words);
-  l1_lines = SortedUnique(l1_lines);
   std::uint32_t l1_max_bits = 0;
   for (std::uint32_t depth : space.l1i.depths) {
-    l1_max_bits = std::max(l1_max_bits, BitsFor(depth));
+    l1_max_bits = std::max(l1_max_bits, cache::CeilLog2(depth));
   }
   for (std::uint32_t depth : space.l1d.depths) {
-    l1_max_bits = std::max(l1_max_bits, BitsFor(depth));
+    l1_max_bits = std::max(l1_max_bits, cache::CeilLog2(depth));
   }
   const LevelProfiles instr_profiles =
-      BuildProfiles(instr_stream, l1_lines, l1_max_bits, engine, jobs);
+      BuildProfiles(collapsed, trace::StreamKind::kInstruction, l1_max_bits,
+                    engine, jobs);
   const LevelProfiles data_profiles =
-      BuildProfiles(data_stream, l1_lines, l1_max_bits, engine, jobs);
-
-  // Compulsory floor for the L2: every distinct L2 line of the merged stream
-  // reaches the L2 at least once (its first touch misses every level), for
-  // any replacement policy and any L1 pair.
-  std::map<std::uint32_t, std::uint64_t> distinct_l2;
-  for (std::uint32_t line : space.l2.lines) {
-    distinct_l2.emplace(
-        line,
-        trace::ComputeStats(trace::WithLineSize(merged_stream, line)).n_unique);
-  }
+      BuildProfiles(collapsed, trace::StreamKind::kData, l1_max_bits, engine,
+                    jobs);
 
   const bool l1i_lru = space.l1i_policy == cache::ReplacementPolicy::kLru;
   const bool l1d_lru = space.l1d_policy == cache::ReplacementPolicy::kLru;
@@ -686,18 +814,25 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
 
   // Component-wise lower bound on the objectives of (pair, l2): exact L1
   // terms (LRU) or compulsory floors, zero write-backs, compulsory L2 floor.
-  // Every objective is monotone in the bounded counts, so an evaluated point
-  // that strictly dominates this bound dominates the true metrics too.
-  const auto lower_bound = [&](const Pair& pair, const CacheConfig& l2) {
+  // Every objective is monotone in the bounded counts, so a front member
+  // that strictly dominates this bound dominates the true metrics too. An
+  // empty front dominates nothing; once it is not empty some pair has been
+  // evaluated, so the L2 floor is known.
+  const auto bound_dominated = [&](const Pair& pair, const CacheConfig& l2,
+                                   const std::vector<JointPoint>& front) {
+    if (front.empty()) return false;
     JointMetrics bound;
     bound.l1i_misses = instr_profiles.MissesFloor(pair.l1i, l1i_lru);
     bound.l1d_misses = data_profiles.MissesFloor(pair.l1d, l1d_lru);
     bound.l1d_writebacks = 0;
     bound.l2_accesses = bound.l1i_misses + bound.l1d_misses;
-    bound.l2_misses = distinct_l2.at(l2.line_words);
+    bound.l2_misses = result.l2_floor.at(l2.line_words);
     FinishDerived(bound, HierarchyConfig{pair.l1i, pair.l1d, l2}, n_instr,
                   n_data);
-    return bound;
+    return std::any_of(front.begin(), front.end(),
+                       [&](const JointPoint& member) {
+                         return JointDominates(member.metrics, bound);
+                       });
   };
 
   // Is some canonically-earlier pair with the same geometry but lower
@@ -765,15 +900,7 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
       }
       std::vector<std::uint32_t> surviving;
       for (std::uint32_t j : valid_l2[p]) {
-        const JointMetrics bound = lower_bound(pair, l2s[j]);
-        bool dominated = false;
-        for (const JointPoint& member : front) {
-          if (JointDominates(member.metrics, bound)) {
-            dominated = true;
-            break;
-          }
-        }
-        if (!dominated) surviving.push_back(j);
+        if (!bound_dominated(pair, l2s[j], front)) surviving.push_back(j);
       }
       result.pruned_configs += valid_l2[p].size() - surviving.size();
       if (surviving.empty()) {

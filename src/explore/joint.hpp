@@ -14,12 +14,16 @@
 //
 // and reduced to the Pareto front over those objectives (explore/pareto).
 //
-// The explorer does NOT simulate every configuration. For a fixed (L1I, L1D)
-// pair the L2 reference stream is fixed — independent of the L2 geometry —
-// so one fused analytical prelude over that stream yields *exact* LRU L2
+// The explorer does NOT simulate every configuration. An L1 is set by its
+// own stream alone, so each L1 geometry is simulated once per exploration,
+// over its stream kind's run-collapsed accesses (only the first access of a
+// run of same-line accesses can miss a write-back/allocate L1). For a fixed
+// (L1I, L1D) pair the L2 reference stream is then fixed — independent of
+// the L2 geometry — and is merged from the two geometries' misses and
+// write-backs; one fused analytical prelude over it yields *exact* LRU L2
 // miss counts for every (depth, assoc) of the L2 axes at once. On top of
 // that, two pruning layers skip provably dominated configurations before
-// any simulation:
+// any evaluation:
 //
 //  * lower-bound dominance: per-level LRU miss counts from the split-trace
 //    preludes (exact for LRU L1s, cold-only for other policies) plus the
@@ -40,6 +44,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -163,10 +168,15 @@ struct JointResult {
   std::uint64_t evaluated_configs = 0;  // scored against the front
   std::uint64_t pruned_configs = 0;     // valid - evaluated
   std::uint64_t total_pairs = 0;        // valid (L1I, L1D) pairs
-  std::uint64_t evaluated_pairs = 0;    // pairs actually simulated
+  std::uint64_t evaluated_pairs = 0;    // pairs whose L2 stream was scored
   std::uint64_t pruned_pairs = 0;       // pairs skipped entirely
   std::uint64_t threshold_pruned_pairs = 0;  // via associativity thresholds
   std::uint64_t seed_pairs = 0;         // dimension-scan seeds
+  std::uint64_t l1_sims = 0;  // L1 geometries simulated (<= L1I + L1D axes)
+  // Compulsory L2 misses per L2 line size: the merged stream's distinct L2
+  // lines, the L2 floor of the lower-bound rule. Taken from the first
+  // evaluated pair's L2 stream; empty when no pair was evaluated.
+  std::map<std::uint32_t, std::uint64_t> l2_floor;
   double seconds = 0.0;                 // wall clock (volatile)
 };
 
@@ -176,9 +186,10 @@ struct JointResult {
 JointResult ExploreJoint(const trace::AccessSequence& accesses,
                          const JointSpace& space, JointOptions options = {});
 
-// Scores one configuration through the same analytical path the explorer
-// uses (L1s simulated functionally, L2 from the stack profile of the
-// captured L2 stream). Exposed for the simulator cross-validation tests.
+// Scores one configuration through the same path the explorer uses (L1s
+// simulated functionally over the run-collapsed streams, L2 from the stack
+// profile of the merged L2 stream). Exposed for the simulator
+// cross-validation tests.
 // Throws support::Error (kValidation) when the configuration is invalid.
 JointMetrics EvaluateJointConfig(const trace::AccessSequence& accesses,
                                  const cache::HierarchyConfig& config,

@@ -16,6 +16,7 @@
 #include "explore/joint.hpp"
 #include "explore/report.hpp"
 #include "support/rng.hpp"
+#include "trace/strip.hpp"
 #include "trace/synthetic.hpp"
 
 namespace {
@@ -144,6 +145,32 @@ TEST(JointOracle, PrunedMatchesExhaustiveOn50RandomTraces) {
   }
   // The corpus must actually exercise the pruning path, not vacuously pass.
   EXPECT_GT(with_pruning_effect, 10);
+}
+
+// The lower-bound rule's L2 floor comes from the first evaluated pair's L2
+// stream; it must equal the merged stream's distinct L2 line count, the
+// compulsory misses of any L2 behind any L1 pair.
+TEST(JointOracle, L2FloorIsTheMergedStreamsDistinctL2Lines) {
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    const AccessSequence accesses = CorpusTrace(seed);
+    const JointSpace space = CorpusSpace(seed);
+    Trace merged;
+    for (const Access& access : accesses) merged.refs.push_back(access.addr);
+    for (bool prune : {true, false}) {
+      JointOptions options;
+      options.prune = prune;
+      const JointResult result = ExploreJoint(accesses, space, options);
+      ASSERT_EQ(result.l2_floor.size(), space.l2.lines.size())
+          << "seed " << seed;
+      for (std::uint32_t line : space.l2.lines) {
+        const std::uint64_t distinct =
+            ces::trace::ComputeStats(ces::trace::WithLineSize(merged, line))
+                .n_unique;
+        EXPECT_EQ(result.l2_floor.at(line), distinct)
+            << "seed " << seed << " line " << line << " prune " << prune;
+      }
+    }
+  }
 }
 
 TEST(JointOracle, ThresholdPruningTriggersOnWriteFreeLruTraces) {

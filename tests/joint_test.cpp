@@ -1,7 +1,8 @@
 // Joint L1I x L1D x L2 explorer: Pareto properties, derived-parameter
-// validation, proportional interleave, stable report keys, and the
-// simulator cross-validation satellite (>= 200 sampled configurations
-// against cache/hierarchy).
+// validation, proportional interleave, stable report keys, the simulator
+// cross-validation (>= 200 sampled configurations against cache/hierarchy,
+// run-heavy streams with mid-run writes included), and a golden record of
+// the pruning decisions on the 12 workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +14,12 @@
 #include "explore/joint.hpp"
 #include "explore/pareto.hpp"
 #include "explore/report.hpp"
+#include "joint_golden_small.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "trace/synthetic.hpp"
+#include "workloads/workloads.hpp"
 
 namespace {
 
@@ -47,6 +51,31 @@ AccessSequence TestStream(std::uint64_t seed, std::size_t scale = 1,
       if (access.kind == StreamKind::kData) {
         access.is_write = rng.NextBool(write_fraction);
       }
+    }
+  }
+  return merged;
+}
+
+// A run-heavy stream: the data side walks random blocks word by word,
+// touching every word twice in a row, so consecutive same-line data accesses
+// form runs at line sizes 1, 2 and 4 and the writes land inside them; the
+// instruction loop forms runs at line sizes 2 and 4.
+AccessSequence RunHeavyStream(std::uint64_t seed, double write_fraction) {
+  Rng rng(seed);
+  const Trace instr = ces::trace::SequentialLoop(0, 40, 6);
+  Trace data;
+  for (int block = 0; block < 48; ++block) {
+    const auto base =
+        static_cast<std::uint32_t>(4096 + 8 * rng.NextBounded(32));
+    const auto length = static_cast<std::uint32_t>(2 + rng.NextBounded(14));
+    for (std::uint32_t i = 0; i < length; ++i) {
+      data.refs.push_back(base + i / 2);
+    }
+  }
+  AccessSequence merged = InterleaveProportional(instr, data);
+  for (Access& access : merged) {
+    if (access.kind == StreamKind::kData) {
+      access.is_write = rng.NextBool(write_fraction);
     }
   }
   return merged;
@@ -325,15 +354,18 @@ TEST(JointCrossValidation, MatchesHierarchySimulatorOn200Configs) {
       {ReplacementPolicy::kLru, ReplacementPolicy::kPlru},
       {ReplacementPolicy::kFifo, ReplacementPolicy::kLru},
       {ReplacementPolicy::kPlru, ReplacementPolicy::kLru},
+      {ReplacementPolicy::kRandom, ReplacementPolicy::kLru},
   };
   const AccessSequence traces[] = {TestStream(7, 2, 0.0),
                                    TestStream(8, 2, 0.3),
-                                   TestStream(9, 1, 0.5)};
+                                   TestStream(9, 1, 0.5),
+                                   RunHeavyStream(11, 0.3)};
   Rng rng(0xC0FFEE);
   int checked = 0;
-  for (int i = 0; i < 220; ++i) {
-    const PolicyCase& policies = cases[i % 5];
-    const AccessSequence& accesses = traces[i % 3];
+  // Every (policy case, trace) combination, 11 sampled configurations each.
+  for (int i = 0; i < 264; ++i) {
+    const PolicyCase& policies = cases[i % 6];
+    const AccessSequence& accesses = traces[(i / 6) % 4];
     const HierarchyConfig config = SampleConfig(rng, policies);
     const JointMetrics metrics = EvaluateJointConfig(accesses, config);
     const HierarchyStats sim = SimulateHierarchy(accesses, config);
@@ -378,6 +410,77 @@ TEST(JointCrossValidation, MatchesHierarchySimulatorOn200Configs) {
     ++checked;
   }
   EXPECT_GE(checked, 200);
+}
+
+// --- golden pruning record (tests/joint_golden_small.hpp) ---
+
+// The workloads' merged streams, interleaved as `cachedse explore-joint
+// --trace=NAME` does.
+std::vector<std::pair<std::string, AccessSequence>> SmallWorkloadStreams() {
+  std::vector<std::pair<std::string, AccessSequence>> streams;
+  for (const ces::workloads::Workload& workload :
+       ces::workloads::AllWorkloads(ces::workloads::Scale::kSmall)) {
+    const ces::workloads::WorkloadRun run = ces::workloads::Run(workload);
+    EXPECT_TRUE(run.output_matches) << workload.name;
+    streams.emplace_back(workload.name,
+                         InterleaveProportional(run.instruction_trace,
+                                                run.data_trace));
+  }
+  return streams;
+}
+
+TEST(JointGolden, PruningDecisionsAndFrontsMatchTheRecordAtEveryJobCount) {
+  const char* const counters[] = {
+      "explore.joint_space",           "explore.joint_valid",
+      "explore.joint_evaluated",       "explore.joint_pruned",
+      "explore.joint_pairs",           "explore.joint_pairs_evaluated",
+      "explore.joint_pairs_pruned",    "explore.joint_pairs_threshold",
+      "explore.joint_seeds",           "explore.joint_front"};
+  const JointSpace space = JointSpace::Default();
+  const auto axis = [](const LevelAxes& a) {
+    return a.depths.size() * a.assocs.size() * a.lines.size();
+  };
+  const std::uint64_t max_l1_sims = axis(space.l1i) + axis(space.l1d);
+  const auto streams = SmallWorkloadStreams();
+  ASSERT_EQ(streams.size(), 12u);
+
+  std::vector<std::uint64_t> l1_sims_at_jobs1;
+  for (std::uint32_t jobs : {1u, 2u, 8u}) {
+    std::string text;
+    for (std::size_t w = 0; w < streams.size(); ++w) {
+      const auto& [name, accesses] = streams[w];
+      ces::support::MetricsRegistry metrics;
+      JointOptions options;
+      options.jobs = jobs;
+      options.metrics = &metrics;
+      const JointResult result = ExploreJoint(accesses, space, options);
+      text += "== " + name + "\n";
+      for (const char* counter : counters) {
+        text += std::string(counter) + " " +
+                std::to_string(metrics.counter(counter)) + "\n";
+      }
+      text += JointFrontCsv(result.front);
+
+      // Each L1 geometry is simulated at most once, whatever the job count.
+      EXPECT_EQ(metrics.counter("explore.joint_l1_sims"), result.l1_sims);
+      EXPECT_GT(result.l1_sims, 0u) << name;
+      EXPECT_LE(result.l1_sims, max_l1_sims) << name;
+      if (jobs == 1) {
+        l1_sims_at_jobs1.push_back(result.l1_sims);
+        // The exhaustive reference scores every pair off the same
+        // once-per-geometry simulations and lands on the same front.
+        JointOptions exhaustive;
+        exhaustive.prune = false;
+        const JointResult reference = ExploreJoint(accesses, space, exhaustive);
+        EXPECT_EQ(JointFrontCsv(reference.front), JointFrontCsv(result.front))
+            << name;
+        EXPECT_EQ(reference.l1_sims, max_l1_sims) << name;
+      } else {
+        EXPECT_EQ(result.l1_sims, l1_sims_at_jobs1[w]) << name;
+      }
+    }
+    EXPECT_EQ(text, joint_golden::kSmallDefaultSpace) << "jobs=" << jobs;
+  }
 }
 
 TEST(JointMetricsTest, DerivedObjectivesAreConsistent) {
