@@ -1,15 +1,7 @@
 // loadgen — load-replay latency scoreboard for a live cachedse-server.
 //
-//   loadgen (--socket=PATH | --port=N [--host=127.0.0.1]
-//            | --endpoints=EP1,EP2,...) [flags]
+//   loadgen (--socket=PATH | --port=N [--host=127.0.0.1]) [flags]
 //
-//   --endpoints=A,B,C  fleet mode: client threads are pinned round-robin
-//                      across the listed endpoints (client grammar:
-//                      "unix:<path>", "<host>:<port>", ":<port>", "<port>").
-//                      Setup and the cold phase use the whole list with
-//                      failover; each measured thread sticks to its one
-//                      endpoint so the per-endpoint p50/p99 and shed-rate
-//                      blocks in the ces-bench-v1 JSON are attributable.
 //   --clients=4        concurrent client threads, each on its own connection
 //   --requests=32      measured (warm-phase) requests per client
 //   --traces=6         distinct synthetic traces uploaded during setup
@@ -48,7 +40,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,8 +63,7 @@ using ces::service::Response;
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: loadgen (--socket=PATH | --port=N [--host=127.0.0.1] |\n"
-      "                --endpoints=EP1,EP2,...)\n"
+      "usage: loadgen (--socket=PATH | --port=N [--host=127.0.0.1])\n"
       "  [--clients=4] [--requests=32] [--traces=6] [--refs=20000]\n"
       "  [--fraction=0.05] [--joint-every=0] [--stats-every=8] [--seed=1]\n"
       "  [--timeout-ms=30000] [--json=PATH] [--jobs=N]\n");
@@ -82,10 +72,6 @@ int Usage() {
 
 ClientOptions EndpointOptions(const ces::ArgParser& args) {
   ClientOptions options;
-  const std::string endpoints = args.GetString("endpoints", "");
-  if (!endpoints.empty()) {
-    options.endpoints = ces::service::ParseEndpointList(endpoints);
-  }
   options.unix_path = args.GetString("socket", "");
   options.host = args.GetString("host", "127.0.0.1");
   options.tcp_port =
@@ -241,12 +227,7 @@ std::uint64_t PercentileUs(const std::vector<std::uint64_t>& sorted,
 
 int main(int argc, char** argv) {
   const ces::ArgParser args(argc, argv);
-  const bool has_endpoints = !args.GetString("endpoints", "").empty();
-  const bool any_single =
-      !args.GetString("socket", "").empty() || args.Has("port");
-  if (has_endpoints) {
-    if (any_single) return Usage();
-  } else if (args.GetString("socket", "").empty() == !args.Has("port")) {
+  if (args.GetString("socket", "").empty() == !args.Has("port")) {
     return Usage();
   }
   const auto clients =
@@ -348,26 +329,12 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Fleet mode pins each measured thread to one endpoint (round-robin
-    // over the list) so latency and sheds are attributable per node; a dead
-    // endpoint shows up as that thread's protocol_errors, not as silent
-    // failover traffic on its neighbours.
-    const std::size_t endpoint_count =
-        endpoint.endpoints.empty() ? 1 : endpoint.endpoints.size();
-    std::vector<ClientOptions> worker_endpoints(clients, endpoint);
-    if (!endpoint.endpoints.empty()) {
-      for (std::size_t c = 0; c < clients; ++c) {
-        worker_endpoints[c].endpoints = {
-            endpoint.endpoints[c % endpoint_count]};
-      }
-    }
-
     std::vector<WorkerResult> results(clients);
     const auto warm_start = std::chrono::steady_clock::now();
     {
       std::vector<std::thread> threads;
       for (std::size_t c = 0; c < clients; ++c) {
-        threads.emplace_back(RunWorker, std::cref(worker_endpoints[c]),
+        threads.emplace_back(RunWorker, std::cref(endpoint),
                              std::cref(plans[c]), std::ref(results[c]));
       }
       for (std::thread& thread : threads) thread.join();
@@ -453,52 +420,6 @@ int main(int argc, char** argv) {
          {"throughput_rps_milli",
           static_cast<std::uint64_t>(throughput_rps * 1000.0)}});
 
-    // Fleet mode: one scoreboard block per endpoint, from the threads
-    // pinned to it. This is the per-node view the fleet-smoke CI job and
-    // capacity planning read — a struggling worker shows up here first.
-    if (!endpoint.endpoints.empty()) {
-      for (std::size_t e = 0; e < endpoint_count; ++e) {
-        WorkerResult per;
-        for (std::size_t c = e; c < clients; c += endpoint_count) {
-          per.ok += results[c].ok;
-          per.sheds += results[c].sheds;
-          per.protocol_errors += results[c].protocol_errors;
-          per.latencies_us.insert(per.latencies_us.end(),
-                                  results[c].latencies_us.begin(),
-                                  results[c].latencies_us.end());
-        }
-        std::sort(per.latencies_us.begin(), per.latencies_us.end());
-        const std::uint64_t ep_answered = per.latencies_us.size();
-        const std::uint64_t ep_p50 = PercentileUs(per.latencies_us, 0.50);
-        const std::uint64_t ep_p99 = PercentileUs(per.latencies_us, 0.99);
-        const std::uint64_t ep_shed_ppm =
-            ep_answered == 0 ? 0 : per.sheds * 1'000'000 / ep_answered;
-        const std::string label = endpoint.endpoints[e].Label();
-        std::printf("[loadgen] endpoint=%s answered=%llu ok=%llu "
-                    "sheds=%llu p50_us=%llu p99_us=%llu shed_rate_ppm=%llu\n",
-                    label.c_str(),
-                    static_cast<unsigned long long>(ep_answered),
-                    static_cast<unsigned long long>(per.ok),
-                    static_cast<unsigned long long>(per.sheds),
-                    static_cast<unsigned long long>(ep_p50),
-                    static_cast<unsigned long long>(ep_p99),
-                    static_cast<unsigned long long>(ep_shed_ppm));
-        reporter.Add("endpoint_replay",
-                     {{"endpoint", label},
-                      {"endpoint_index", std::to_string(e)},
-                      {"clients", std::to_string(
-                          (clients - e + endpoint_count - 1) /
-                          endpoint_count)}},
-                     1, {wall_seconds},
-                     {{"answered_total", ep_answered},
-                      {"ok_total", per.ok},
-                      {"shed_total", per.sheds},
-                      {"protocol_error_total", per.protocol_errors},
-                      {"shed_rate_ppm", ep_shed_ppm},
-                      {"p50_us", ep_p50},
-                      {"p99_us", ep_p99}});
-      }
-    }
     reporter.Write();
   } catch (const ces::support::Error& e) {
     std::fprintf(stderr, "loadgen: %s\n", e.what());

@@ -22,128 +22,33 @@ namespace ces::service {
 using support::Error;
 using support::ErrorCategory;
 
-int ConnectEndpoint(const ClientEndpoint& endpoint) {
-  int fd = -1;
-  if (!endpoint.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (endpoint.unix_path.size() >= sizeof(addr.sun_path)) {
-      throw Error(ErrorCategory::kUsage, "client",
-                  "unix socket path too long: " + endpoint.unix_path);
-    }
-    std::strncpy(addr.sun_path, endpoint.unix_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                             sizeof(addr)) != 0) {
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      fd = -1;
-    }
-  } else {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(endpoint.tcp_port));
-    if (::inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr) != 1) {
-      throw Error(ErrorCategory::kUsage, "client",
-                  "not an IPv4 address: " + endpoint.host);
-    }
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                             sizeof(addr)) != 0) {
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      fd = -1;
-    }
-  }
-  return fd;
+namespace {
+
+// Connects a blocking stream socket; returns the fd, or -1 with errno
+// describing the refusal.
+int ConnectTo(int family, const sockaddr* addr, socklen_t addr_len) {
+  const int fd = ::socket(family, SOCK_STREAM, 0);
+  if (fd < 0 || ::connect(fd, addr, addr_len) == 0) return fd;
+  const int saved = errno;
+  ::close(fd);
+  errno = saved;
+  return -1;
 }
 
-std::string ClientEndpoint::Label() const {
-  if (!unix_path.empty()) return "unix:" + unix_path;
-  return host + ":" + std::to_string(tcp_port);
-}
-
-ClientEndpoint ParseEndpoint(const std::string& spec) {
-  ClientEndpoint endpoint;
-  if (spec.rfind("unix:", 0) == 0) {
-    endpoint.unix_path = spec.substr(5);
-    if (endpoint.unix_path.empty()) {
-      throw Error(ErrorCategory::kUsage, "client",
-                  "empty unix socket path in endpoint '" + spec + "'");
-    }
-    return endpoint;
-  }
-  std::string rest = spec;
-  if (rest.rfind("tcp:", 0) == 0) rest = rest.substr(4);
-  const std::size_t colon = rest.rfind(':');
-  std::string host = "127.0.0.1";
-  std::string port_text = rest;
-  if (colon != std::string::npos) {
-    if (colon > 0) host = rest.substr(0, colon);
-    port_text = rest.substr(colon + 1);
-  }
-  if (port_text.empty() ||
-      port_text.find_first_not_of("0123456789") != std::string::npos) {
-    throw Error(ErrorCategory::kUsage, "client",
-                "endpoint '" + spec +
-                    "' is not unix:<path>, <host>:<port> or <port>");
-  }
-  const long port = std::strtol(port_text.c_str(), nullptr, 10);
-  if (port <= 0 || port > 65535) {
-    throw Error(ErrorCategory::kUsage, "client",
-                "endpoint '" + spec + "' has an out-of-range port");
-  }
-  endpoint.host = host;
-  endpoint.tcp_port = static_cast<int>(port);
-  return endpoint;
-}
-
-std::vector<ClientEndpoint> ParseEndpointList(const std::string& specs) {
-  std::vector<ClientEndpoint> endpoints;
-  std::size_t start = 0;
-  while (start <= specs.size()) {
-    std::size_t comma = specs.find(',', start);
-    if (comma == std::string::npos) comma = specs.size();
-    const std::string spec = specs.substr(start, comma - start);
-    if (!spec.empty()) endpoints.push_back(ParseEndpoint(spec));
-    start = comma + 1;
-  }
-  if (endpoints.empty()) {
-    throw Error(ErrorCategory::kUsage, "client", "empty endpoint list");
-  }
-  return endpoints;
-}
+}  // namespace
 
 Client::Client(ClientOptions options)
     : options_(std::move(options)),
+      endpoint_(!options_.unix_path.empty()
+                    ? "unix:" + options_.unix_path
+                    : options_.host + ":" + std::to_string(options_.tcp_port)),
       jitter_(options_.jitter_seed != 0
                   ? options_.jitter_seed
                   : static_cast<std::uint64_t>(::getpid()) * 0x9e3779b9ull +
                         static_cast<std::uint64_t>(
                             std::chrono::steady_clock::now()
                                 .time_since_epoch()
-                                .count())) {
-  if (!options_.endpoints.empty()) {
-    endpoints_ = options_.endpoints;
-  } else {
-    const bool use_unix = !options_.unix_path.empty();
-    if (use_unix != (options_.tcp_port >= 0)) {
-      ClientEndpoint endpoint;
-      if (use_unix) {
-        endpoint.unix_path = options_.unix_path;
-      } else {
-        endpoint.host = options_.host;
-        endpoint.tcp_port = options_.tcp_port;
-      }
-      endpoints_.push_back(std::move(endpoint));
-    }
-    // Both or neither set: endpoints_ stays empty and Connect() reports the
-    // usage error, matching the pre-failover behaviour.
-  }
-}
+                                .count())) {}
 
 void Client::Note(const std::string& message) const {
   if (!options_.verbose) return;
@@ -151,31 +56,31 @@ void Client::Note(const std::string& message) const {
 }
 
 int Client::Connect() {
-  if (endpoints_.empty()) {
+  if (options_.unix_path.empty() == (options_.tcp_port < 0)) {
     throw Error(ErrorCategory::kUsage, "client",
                 "select exactly one of unix_path and tcp_port");
   }
-  std::string last_error;
-  for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-    const std::size_t index = (preferred_ + i) % endpoints_.size();
-    const ClientEndpoint& endpoint = endpoints_[index];
-    const int fd = ConnectEndpoint(endpoint);
-    if (fd >= 0) {
-      if (index != preferred_) {
-        Note("failing over to " + endpoint.Label());
-        preferred_ = index;
-      }
-      return fd;
+  if (!options_.unix_path.empty()) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (options_.unix_path.size() >= sizeof(addr.sun_path)) {
+      throw Error(ErrorCategory::kUsage, "client",
+                  "unix socket path too long: " + options_.unix_path);
     }
-    last_error = "cannot connect to " + endpoint.Label() + ": " +
-                 std::strerror(errno);
-    Note(last_error);
+    std::strncpy(addr.sun_path, options_.unix_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    return ConnectTo(AF_UNIX, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr));
   }
-  throw Error(ErrorCategory::kIo, "client",
-              endpoints_.size() == 1
-                  ? last_error
-                  : "all " + std::to_string(endpoints_.size()) +
-                        " endpoints refused; last: " + last_error);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(options_.tcp_port));
+  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
+    throw Error(ErrorCategory::kUsage, "client",
+                "not an IPv4 address: " + options_.host);
+  }
+  return ConnectTo(AF_INET, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr));
 }
 
 std::uint64_t Client::BackoffMs(int attempt, std::uint64_t server_hint_ms) {
@@ -220,17 +125,15 @@ std::vector<Response> Client::Batch(const std::vector<std::string>& lines) {
           std::chrono::milliseconds(BackoffMs(attempt - 1, hint)));
     }
 
-    int fd = -1;
-    try {
-      fd = Connect();
-    } catch (const Error& e) {
-      if (e.category() == ErrorCategory::kUsage) throw;
+    const int fd = Connect();
+    if (fd < 0) {
       // Connect-refused: the server saw nothing, every request is safe to
       // resend on the next attempt.
-      last_failure = e.what();
+      const std::string reason = std::strerror(errno);
+      last_failure = "connect: " + reason;
+      Note("cannot connect to " + endpoint_ + ": " + reason);
       continue;
     }
-    const std::string endpoint_label = endpoints_[preferred_].Label();
 
     // Send every still-unanswered request, pipelined.
     std::string out;
@@ -354,17 +257,13 @@ std::vector<Response> Client::Batch(const std::vector<std::string>& lines) {
         if (answered[i] || resend_safe[i]) continue;
         throw Error(
             ErrorCategory::kIo, "client",
-            "mid-stream disconnect from " + endpoint_label + " (" +
+            "mid-stream disconnect from " + endpoint_ + " (" +
                 last_failure + ") with non-idempotent '" +
                 protocol::ExtractRequestOp(lines[i]) +
                 "' in flight; not resent");
       }
-      Note("mid-stream disconnect from " + endpoint_label + " (" +
-           last_failure + "); resending idempotent requests");
-      // Treat the endpoint as suspect: the next attempt starts one over.
-      if (endpoints_.size() > 1) {
-        preferred_ = (preferred_ + 1) % endpoints_.size();
-      }
+      Note("mid-stream disconnect from " + endpoint_ + " (" + last_failure +
+           "); resending idempotent requests");
     }
   }
   // Budget exhausted. If every open slot holds a recorded "overloaded"
@@ -385,7 +284,7 @@ std::vector<Response> Client::Batch(const std::vector<std::string>& lines) {
   throw Error(ErrorCategory::kIo, "client",
               "retry budget exhausted (" +
                   std::to_string(std::max(options_.max_attempts, 1)) +
-                  " attempts): " + last_failure);
+                  " attempts) on " + endpoint_ + ": " + last_failure);
 }
 
 Response Client::Request(const std::string& line) {

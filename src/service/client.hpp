@@ -1,27 +1,25 @@
 // Client side of the exploration service protocol.
 //
 // One Batch() call pipelines any number of request lines over a single
-// connection and matches responses (which may arrive out of order) back to
-// request order by id. The failure policy is the standard well-behaved-
-// client trio:
+// connection to one daemon (a Unix socket path or host:port TCP) and
+// matches responses (which may arrive out of order) back to request order
+// by id. The failure policy is the standard well-behaved-client trio:
 //  * a per-attempt timeout (poll-based, covers connect-to-last-response);
 //  * a retry budget shared by transport failures (connect refused, peer
 //    hangup, timeout) and explicit "overloaded" sheds — only the
 //    still-unanswered requests are resent, on a fresh connection;
 //  * jittered exponential backoff between attempts — base * 2^attempt,
-//    capped, scaled by a uniform [0.5, 1.0) draw so a shed fleet does not
-//    reconverge in lockstep, and never shorter than the server's
+//    capped, scaled by a uniform [0.5, 1.0) draw so clients shed together
+//    do not retry in lockstep, and never shorter than the server's
 //    retry_after_ms hint.
 //
-// Failover-aware: `endpoints` lists alternates (a fleet of routers, or a
-// router plus a spare). Connections stick to the endpoint that last worked;
-// a refused connect or a mid-stream disconnect advances to the next one.
-// The two failures are not the same thing and are treated differently: a
-// refused connect proves the server saw nothing, so everything is safe to
-// resend; a mid-stream disconnect leaves the fate of in-flight requests
-// unknown, so only idempotent ops (protocol::IsIdempotentOp) are resent —
-// an unanswered trace-begin/trace-end aborts the batch with kIo instead of
-// risking a duplicate session.
+// A refused connect and a mid-stream disconnect are not the same thing and
+// are treated differently: a refused connect proves the server saw nothing,
+// so everything is safe to resend; a mid-stream disconnect leaves the fate
+// of in-flight requests unknown, so only idempotent ops
+// (protocol::IsIdempotentOp) are resent — an unanswered
+// trace-begin/trace-end aborts the batch with kIo instead of risking a
+// duplicate session.
 #pragma once
 
 #include <cstdint>
@@ -33,35 +31,7 @@
 
 namespace ces::service {
 
-struct ClientEndpoint {
-  // Exactly one of: a Unix socket path, or host:port TCP.
-  std::string unix_path;
-  std::string host = "127.0.0.1";
-  int tcp_port = -1;
-
-  // "unix:<path>" or "<host>:<port>" — the display form error messages and
-  // --verbose transport notes use.
-  std::string Label() const;
-};
-
-// Parses one endpoint spec: "unix:<path>", "tcp:<host>:<port>",
-// "<host>:<port>", ":<port>" (loopback) or "<port>" (loopback). Throws
-// support::Error (kUsage) on anything else.
-ClientEndpoint ParseEndpoint(const std::string& spec);
-
-// Comma-separated list of the above; rejects an empty list.
-std::vector<ClientEndpoint> ParseEndpointList(const std::string& specs);
-
-// Connects one endpoint (blocking); returns the fd, or -1 with errno
-// describing the refusal. Shared by the client's failover loop and the
-// fleet router's worker channels. Throws support::Error (kUsage) only for
-// malformed endpoints (over-long unix path, non-IPv4 host).
-int ConnectEndpoint(const ClientEndpoint& endpoint);
-
 struct ClientOptions {
-  // Failover list, tried in order starting from the last endpoint that
-  // worked. When empty, the legacy single-endpoint fields below are used.
-  std::vector<ClientEndpoint> endpoints;
   // Exactly one endpoint: a Unix socket path, or host:port TCP.
   std::string unix_path;
   std::string host = "127.0.0.1";
@@ -75,8 +45,8 @@ struct ClientOptions {
   // retried — load generators measure shed rate with this; interactive
   // clients keep the default and ride the backoff schedule.
   bool retry_sheds = true;
-  // Transport notes (failing endpoint, failover target, mid-stream drops)
-  // on stderr; what cachedse-client --verbose turns on.
+  // Transport notes (refused connects, mid-stream drops, each naming the
+  // endpoint) on stderr; what cachedse-client --verbose turns on.
   bool verbose = false;
 };
 
@@ -97,23 +67,16 @@ class Client {
 
   Response Request(const std::string& line);
 
-  // The endpoint the next attempt will try first (sticky; moves on
-  // failure). Exposed for tests and verbose tooling.
-  const ClientEndpoint& preferred_endpoint() const {
-    return endpoints_[preferred_];
-  }
-
  private:
-  // Connects to the first reachable endpoint starting at preferred_;
-  // returns the fd and pins preferred_ to it. Throws support::Error (kIo)
-  // when every endpoint refuses.
+  // Connects to the endpoint; returns the fd, or -1 with errno describing
+  // the refusal. Throws support::Error (kUsage) for a bad endpoint
+  // selection (neither or both set, over-long path, non-IPv4 host).
   int Connect();
   std::uint64_t BackoffMs(int attempt, std::uint64_t server_hint_ms);
   void Note(const std::string& message) const;  // verbose-mode stderr line
 
   ClientOptions options_;
-  std::vector<ClientEndpoint> endpoints_;
-  std::size_t preferred_ = 0;
+  std::string endpoint_;  // "unix:<path>" or "<host>:<port>", for messages
   Rng jitter_;
 };
 

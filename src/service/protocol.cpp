@@ -397,68 +397,6 @@ bool IsIdempotentOp(const std::string& op) {
   return op != "trace-begin" && op != "trace-end";
 }
 
-std::string SerializeRequest(const Request& request) {
-  std::string out = "{\"id\":" + support::JsonQuote(request.id) +
-                    ",\"op\":" + support::JsonQuote(ToString(request.op));
-  const bool is_joint = request.op == Op::kExploreJoint;
-  const bool takes_trace_ref =
-      request.op == Op::kExplore || is_joint || request.op == Op::kStats ||
-      request.op == Op::kIngest;
-  if (takes_trace_ref) {
-    if (!request.trace.empty()) {
-      out += ",\"trace\":" + support::JsonQuote(request.trace);
-    }
-    if (!request.digest.empty()) {
-      out += ",\"digest\":" + support::JsonQuote(request.digest);
-    }
-  }
-  if (is_joint) {
-    if (!request.trace_instr.empty()) {
-      out += ",\"trace_instr\":" + support::JsonQuote(request.trace_instr);
-    }
-    if (!request.digest_instr.empty()) {
-      out += ",\"digest_instr\":" + support::JsonQuote(request.digest_instr);
-    }
-    out += ",\"engine\":" + support::JsonQuote(request.engine);
-    out += ",\"space\":" + support::JsonQuote(request.space);
-    out += std::string(",\"prune\":") + (request.prune ? "true" : "false");
-  } else if (request.op == Op::kExplore) {
-    out += ",\"kind\":" + support::JsonQuote(request.kind);
-    out += ",\"engine\":" + support::JsonQuote(request.engine);
-    if (request.has_k) {
-      out += ",\"k\":" + U64(request.k);
-    } else if (request.has_fraction) {
-      char buffer[32];
-      std::snprintf(buffer, sizeof(buffer), "%.17g", request.fraction);
-      out += std::string(",\"fraction\":") + buffer;
-    }
-    out += ",\"line_words\":" + U64(request.line_words);
-    out += ",\"max_index_bits\":" + U64(request.max_index_bits);
-  } else if (request.op == Op::kStats || request.op == Op::kIngest) {
-    out += ",\"kind\":" + support::JsonQuote(request.kind);
-  } else if (request.op == Op::kTraceBegin) {
-    out += ",\"kind\":" + support::JsonQuote(request.kind);
-    out += ",\"count\":" + U64(request.count);
-    out += ",\"address_bits\":" + U64(request.address_bits);
-    if (!request.name.empty()) {
-      out += ",\"name\":" + support::JsonQuote(request.name);
-    }
-  } else if (request.op == Op::kTraceChunk) {
-    out += ",\"upload\":" + support::JsonQuote(request.upload);
-    out += ",\"seq\":" + U64(request.seq);
-    out += ",\"payload\":" + support::JsonQuote(request.payload);
-    out += ",\"encoding\":" + support::JsonQuote(request.encoding);
-  } else if (request.op == Op::kTraceEnd) {
-    out += ",\"upload\":" + support::JsonQuote(request.upload);
-  }
-  // deadline_ms is accepted on every op, so preserve it on every op.
-  if (request.deadline_ms > 0) {
-    out += ",\"deadline_ms\":" + U64(request.deadline_ms);
-  }
-  out += "}";
-  return out;
-}
-
 std::string PingResponse(const std::string& id, const std::string& rid) {
   return Head(id, rid, "ping") + "}";
 }

@@ -138,13 +138,6 @@ std::string ExtractRequestOp(const std::string& line);
 // them with a deterministic structured error.
 bool IsIdempotentOp(const std::string& op);
 
-// Re-serialises a parsed request into a line ParseRequest accepts with
-// identical semantics (per-op field rules respected, so e.g. a joint
-// request never re-grows a 'kind' field). The router uses it to forward a
-// request under its own correlation id. The server-assigned `rid` is never
-// emitted — it is not a request wire field.
-std::string SerializeRequest(const Request& request);
-
 // Error codes beyond support::ErrorCategory that the protocol defines.
 inline constexpr char kCodeOverloaded[] = "overloaded";
 inline constexpr char kCodeDeadlineExceeded[] = "deadline_exceeded";

@@ -46,31 +46,177 @@ JobScheduler::JobScheduler(TraceStore& store, ResultCache& cache,
                            Options options, support::MetricsRegistry* metrics)
     : store_(store),
       cache_(cache),
+      options_(options),
       metrics_(metrics),
-      pool_(options.jobs, metrics),
-      dispatcher_(*this,
-                  Dispatcher::Options{options.queue_limit,
-                                      options.retry_after_ms,
-                                      options.request_log},
-                  metrics) {}
+      pool_(options.jobs, metrics) {
+  dispatcher_ = std::thread([this] { Loop(); });
+}
 
 JobScheduler::~JobScheduler() { Drain(); }
 
 void JobScheduler::Submit(protocol::Request request, Responder done) {
-  dispatcher_.Submit(std::move(request), std::move(done));
+  support::MetricsRegistry::Add(metrics_, "service.requests");
+  Job job;
+  job.enqueued = std::chrono::steady_clock::now();
+  if (request.deadline_ms > 0) {
+    job.deadline =
+        job.enqueued + std::chrono::milliseconds(request.deadline_ms);
+    job.has_deadline = true;
+  }
+  job.request = std::move(request);
+  job.done = std::move(done);
+
+  std::string shed_code;
+  std::string shed_message;
+  std::uint64_t shed_retry_ms = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (draining_) {
+      shed_code = protocol::kCodeShuttingDown;
+      shed_message = "server is draining";
+    } else if (queue_.size() >= options_.queue_limit) {
+      shed_code = protocol::kCodeOverloaded;
+      shed_message = "admission queue full (" +
+                     std::to_string(options_.queue_limit) + " requests)";
+      shed_retry_ms = options_.retry_after_ms;
+    } else {
+      queue_.push_back(std::move(job));
+      support::MetricsRegistry::SetGauge(metrics_, "service.queue.depth",
+                                         queue_.size());
+    }
+  }
+  if (shed_code.empty()) {
+    cv_.notify_one();
+    return;
+  }
+  support::MetricsRegistry::Add(metrics_, "service.queue.shed");
+  Fail(job, shed_code, shed_message, shed_retry_ms, "shed");
 }
 
-void JobScheduler::Drain() { dispatcher_.Drain(); }
+void JobScheduler::Drain() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    draining_ = true;
+  }
+  cv_.notify_all();
+  if (dispatcher_.joinable()) dispatcher_.join();
+}
 
-void JobScheduler::Pause() { dispatcher_.Pause(); }
+void JobScheduler::Pause() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  paused_ = true;
+}
 
-void JobScheduler::Resume() { dispatcher_.Resume(); }
+void JobScheduler::Resume() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    paused_ = false;
+  }
+  cv_.notify_all();
+}
 
 std::size_t JobScheduler::queue_depth() const {
-  return dispatcher_.queue_depth();
+  std::lock_guard<std::mutex> lock(mutex_);
+  return queue_.size();
 }
 
-bool JobScheduler::draining() const { return dispatcher_.draining(); }
+bool JobScheduler::draining() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return draining_;
+}
+
+void JobScheduler::Loop() {
+  support::TraceSink* sink = support::TraceSink::Global();
+  if (sink != nullptr) sink->NameThisThread("service dispatcher");
+  for (;;) {
+    std::deque<Job> batch;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [this] {
+        return draining_ || (!paused_ && !queue_.empty());
+      });
+      if (queue_.empty()) {
+        if (draining_) return;
+        continue;
+      }
+      batch.swap(queue_);
+      support::MetricsRegistry::SetGauge(metrics_, "service.queue.depth", 0);
+    }
+    support::MetricsRegistry::ObserveHistogram(
+        metrics_, "service.batch.requests", batch.size());
+    const auto now = std::chrono::steady_clock::now();
+    for (Job& job : batch) {
+      job.dequeued = now;
+      job.dispatched = true;
+    }
+    ExecuteBatch(std::move(batch));
+  }
+}
+
+void JobScheduler::Respond(Job& job, const std::string& response) {
+  if (!job.done) return;
+  const auto now = std::chrono::steady_clock::now();
+  const double seconds =
+      std::chrono::duration<double>(now - job.enqueued).count();
+  support::MetricsRegistry::Observe(metrics_, "service.request", seconds);
+  const auto total_us = static_cast<std::uint64_t>(seconds * 1e6);
+  // Queue wait vs execute split: a job that never reached the dispatcher
+  // (shed, draining) spent its whole life queued.
+  std::uint64_t queue_us = total_us;
+  std::uint64_t exec_us = 0;
+  if (job.dispatched) {
+    queue_us = static_cast<std::uint64_t>(
+        std::chrono::duration<double>(job.dequeued - job.enqueued).count() *
+        1e6);
+    if (queue_us > total_us) queue_us = total_us;
+    exec_us = total_us - queue_us;
+  }
+  // Latency distributions are wall-clock facts — volatile histograms, so
+  // the deterministic metrics surface stays byte-identical across runs.
+  support::MetricsRegistry::ObserveVolatileHistogram(
+      metrics_, "service.request.latency_us", total_us);
+  support::MetricsRegistry::ObserveVolatileHistogram(
+      metrics_, "service.request.queue_us", queue_us);
+  support::MetricsRegistry::ObserveVolatileHistogram(
+      metrics_, "service.request.exec_us", exec_us);
+  if (options_.request_log != nullptr) {
+    support::RequestLogEntry entry;
+    entry.ts_us = options_.request_log->NowUs();
+    entry.rid = job.request.rid;
+    entry.id = job.request.id;
+    entry.op = protocol::ToString(job.request.op);
+    entry.trace = job.request.trace;
+    entry.digest = job.digest;
+    entry.outcome = job.outcome.empty() ? "computed" : job.outcome;
+    entry.error = job.error_code;
+    entry.queue_us = queue_us;
+    entry.exec_us = exec_us;
+    entry.total_us = total_us;
+    entry.bytes = response.size();
+    options_.request_log->Write(entry);
+  }
+  Responder done = std::move(job.done);
+  job.done = nullptr;
+  done(response);
+}
+
+void JobScheduler::Fail(Job& job, const std::string& code,
+                        const std::string& message,
+                        std::uint64_t retry_after_ms, const char* outcome) {
+  job.outcome = outcome;
+  job.error_code = code;
+  Respond(job, protocol::ErrorResponse(job.request.id, code, message,
+                                       retry_after_ms, job.request.rid));
+}
+
+bool JobScheduler::FailIfExpired(Job& job,
+                                 std::chrono::steady_clock::time_point now,
+                                 const char* message) {
+  if (!job.has_deadline || now <= job.deadline) return false;
+  support::MetricsRegistry::Add(metrics_, "service.deadline_exceeded");
+  Fail(job, protocol::kCodeDeadlineExceeded, message, 0, "deadline");
+  return true;
+}
 
 JobScheduler::ResolvedTrace JobScheduler::Resolve(
     const protocol::Request& request, bool force_ingest) {
@@ -118,7 +264,7 @@ JobScheduler::ResolvedTrace JobScheduler::Resolve(
   return resolved;
 }
 
-void JobScheduler::HandleUpload(DispatchJob& job) {
+void JobScheduler::HandleUpload(Job& job) {
   const protocol::Request& request = job.request;
   try {
     switch (request.op) {
@@ -128,9 +274,8 @@ void JobScheduler::HandleUpload(DispatchJob& job) {
                                            : trace::StreamKind::kData;
         const std::string token = store_.BeginUpload(
             kind, request.address_bits, request.count, request.name);
-        dispatcher_.Respond(job, protocol::TraceBeginResponse(
-                                     request.id, token, request.count,
-                                     request.rid));
+        Respond(job, protocol::TraceBeginResponse(request.id, token,
+                                                  request.count, request.rid));
         break;
       }
       case Op::kTraceChunk: {
@@ -138,29 +283,27 @@ void JobScheduler::HandleUpload(DispatchJob& job) {
             protocol::DecodeChunkPayload(request.encoding, request.payload);
         const std::uint64_t received = store_.AppendUploadChunk(
             request.upload, request.seq, refs.data(), refs.size());
-        dispatcher_.Respond(job, protocol::TraceChunkResponse(
-                                     request.id, request.upload, request.seq,
-                                     received, request.rid));
+        Respond(job, protocol::TraceChunkResponse(request.id, request.upload,
+                                                  request.seq, received,
+                                                  request.rid));
         break;
       }
       default: {
         const PinnedTrace pinned = store_.FinishUpload(request.upload);
         job.digest = pinned.digest;
-        dispatcher_.Respond(job, protocol::TraceEndResponse(
-                                     request.id, pinned.digest, pinned.stats,
-                                     request.rid));
+        Respond(job, protocol::TraceEndResponse(request.id, pinned.digest,
+                                                pinned.stats, request.rid));
         break;
       }
     }
   } catch (const Error& e) {
-    dispatcher_.Fail(job, support::ToString(e.category()), e.what());
+    Fail(job, support::ToString(e.category()), e.what());
   } catch (const std::exception& e) {
-    dispatcher_.Fail(job, support::ToString(ErrorCategory::kInternal),
-                     e.what());
+    Fail(job, support::ToString(ErrorCategory::kInternal), e.what());
   }
 }
 
-void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
+void JobScheduler::ExecuteBatch(std::deque<Job> batch) {
   support::ScopedTraceSpan batch_span("service.batch");
   const auto now = std::chrono::steady_clock::now();
 
@@ -170,7 +313,7 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
     std::string digest;
     analytic::ExplorerOptions options;
     std::string engine_name;
-    std::vector<DispatchJob*> jobs;
+    std::vector<Job*> jobs;
   };
   std::vector<Group> groups;
   std::unordered_map<std::string, std::size_t> group_index;
@@ -184,18 +327,13 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
     std::string engine_name;
     std::string space_name;
     bool prune = true;
-    std::vector<DispatchJob*> jobs;
+    std::vector<Job*> jobs;
   };
   std::vector<JointGroup> joint_groups;
   std::unordered_map<std::string, std::size_t> joint_group_index;
 
-  for (DispatchJob& job : batch) {
-    if (Dispatcher::DeadlineExpired(job, now)) {
-      support::MetricsRegistry::Add(metrics_, "service.deadline_exceeded");
-      dispatcher_.Fail(job, protocol::kCodeDeadlineExceeded,
-                       "deadline passed while queued", 0, "deadline");
-      continue;
-    }
+  for (Job& job : batch) {
+    if (FailIfExpired(job, now, "deadline passed while queued")) continue;
     const protocol::Request& request = job.request;
     if (request.op == Op::kTraceBegin || request.op == Op::kTraceChunk ||
         request.op == Op::kTraceEnd) {
@@ -218,22 +356,22 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
     }
     const ResolvedTrace& trace = it->second;
     if (trace.failed) {
-      dispatcher_.Fail(job, trace.code, trace.message);
+      Fail(job, trace.code, trace.message);
       continue;
     }
     job.digest = trace.pinned.digest;
     switch (request.op) {
       case Op::kIngest:
-        dispatcher_.Respond(job, protocol::IngestResponse(
-                                     request.id, trace.pinned.digest,
-                                     trace.pinned.stats, request.rid));
+        Respond(job, protocol::IngestResponse(
+                         request.id, trace.pinned.digest,
+                         trace.pinned.stats, request.rid));
         break;
       case Op::kStats:
-        dispatcher_.Respond(job, protocol::StatsResponse(
-                                     request.id, trace.pinned.digest,
-                                     trace.pinned.stats,
-                                     trace::ToString(trace.pinned.kind),
-                                     request.rid));
+        Respond(job, protocol::StatsResponse(
+                         request.id, trace.pinned.digest,
+                         trace.pinned.stats,
+                         trace::ToString(trace.pinned.kind),
+                         request.rid));
         break;
       case Op::kExplore: {
         const std::string key = trace.pinned.digest + '|' + request.engine +
@@ -274,7 +412,7 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
         }
         const ResolvedTrace& instr_trace = instr_it->second;
         if (instr_trace.failed) {
-          dispatcher_.Fail(job, instr_trace.code, instr_trace.message);
+          Fail(job, instr_trace.code, instr_trace.message);
           break;
         }
         const std::string key = trace.pinned.digest + '|' +
@@ -301,8 +439,8 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
         // ping/metrics/shutdown/stats(server)/health are routed inline by
         // the service; reaching the scheduler with one is a programming
         // error upstream.
-        dispatcher_.Fail(job, support::ToString(ErrorCategory::kInternal),
-                         "operation cannot be scheduled");
+        Fail(job, support::ToString(ErrorCategory::kInternal),
+             "operation cannot be scheduled");
         break;
     }
   }
@@ -310,9 +448,9 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
   for (Group& group : groups) {
     // Explicit-K requests that are already cached never need the prelude —
     // answer them first and only build for what remains.
-    std::vector<DispatchJob*> remaining;
+    std::vector<Job*> remaining;
     remaining.reserve(group.jobs.size());
-    for (DispatchJob* job : group.jobs) {
+    for (Job* job : group.jobs) {
       if (job->request.has_k) {
         ResultKey key{group.digest,
                       static_cast<std::uint8_t>(group.options.engine),
@@ -320,11 +458,10 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
                       job->request.k};
         if (auto hit = cache_.Lookup(key)) {
           job->outcome = "cache_hit";
-          dispatcher_.Respond(
-              *job, protocol::ExploreResponse(
-                        job->request.id, group.digest, group.engine_name,
-                        hit->k, hit->stats, hit->points, true,
-                        job->request.rid));
+          Respond(*job, protocol::ExploreResponse(
+                            job->request.id, group.digest, group.engine_name,
+                            hit->k, hit->stats, hit->points, true,
+                            job->request.rid));
           continue;
         }
       }
@@ -338,14 +475,14 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
       explorer = store_.GetOrBuildExplorer(group.digest, group.options,
                                            &prelude_reused);
     } catch (const Error& e) {
-      for (DispatchJob* job : remaining) {
-        dispatcher_.Fail(*job, support::ToString(e.category()), e.what());
+      for (Job* job : remaining) {
+        Fail(*job, support::ToString(e.category()), e.what());
       }
       continue;
     } catch (const std::exception& e) {
-      for (DispatchJob* job : remaining) {
-        dispatcher_.Fail(*job, support::ToString(ErrorCategory::kInternal),
-                         e.what());
+      for (Job* job : remaining) {
+        Fail(*job, support::ToString(ErrorCategory::kInternal),
+             e.what());
       }
       continue;
     }
@@ -353,15 +490,11 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
     // Per-request fan-out: every remaining request is one cheap histogram
     // query against the shared prelude.
     pool_.ParallelFor(remaining.size(), [&](std::size_t i) {
-      DispatchJob& job = *remaining[i];
+      Job& job = *remaining[i];
       try {
         support::ScopedTraceSpan solve_span("service.solve");
-        if (Dispatcher::DeadlineExpired(job,
-                                        std::chrono::steady_clock::now())) {
-          support::MetricsRegistry::Add(metrics_,
-                                        "service.deadline_exceeded");
-          dispatcher_.Fail(job, protocol::kCodeDeadlineExceeded,
-                           "deadline passed before solve", 0, "deadline");
+        if (FailIfExpired(job, std::chrono::steady_clock::now(),
+                          "deadline passed before solve")) {
           return;
         }
         const std::uint64_t k = ResolveK(job.request, explorer->stats());
@@ -375,11 +508,10 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
         if (!job.request.has_k) {
           if (auto hit = cache_.Lookup(key)) {
             job.outcome = "cache_hit";
-            dispatcher_.Respond(
-                job, protocol::ExploreResponse(
-                         job.request.id, group.digest, group.engine_name,
-                         hit->k, hit->stats, hit->points, true,
-                         job.request.rid));
+            Respond(job, protocol::ExploreResponse(
+                             job.request.id, group.digest, group.engine_name,
+                             hit->k, hit->stats, hit->points, true,
+                             job.request.rid));
             return;
           }
         }
@@ -392,15 +524,14 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
         // "prelude_reused" marks the whole group as riding an already-built
         // prelude — one fused pass amortised over every rid in the group.
         if (prelude_reused) job.outcome = "prelude_reused";
-        dispatcher_.Respond(job, protocol::ExploreResponse(
-                                     job.request.id, group.digest,
-                                     group.engine_name, k, value->stats,
-                                     value->points, false, job.request.rid));
+        Respond(job, protocol::ExploreResponse(
+                         job.request.id, group.digest,
+                         group.engine_name, k, value->stats,
+                         value->points, false, job.request.rid));
       } catch (const Error& e) {
-        dispatcher_.Fail(job, support::ToString(e.category()), e.what());
+        Fail(job, support::ToString(e.category()), e.what());
       } catch (const std::exception& e) {
-        dispatcher_.Fail(job, support::ToString(ErrorCategory::kInternal),
-                         e.what());
+        Fail(job, support::ToString(ErrorCategory::kInternal), e.what());
       }
     });
   }
@@ -421,19 +552,13 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
     } else {
       // Everything already past its deadline is answered without paying for
       // the joint run; if nothing is left, skip the run entirely.
-      std::vector<DispatchJob*> remaining;
+      std::vector<Job*> remaining;
       remaining.reserve(group.jobs.size());
-      for (DispatchJob* job : group.jobs) {
-        if (Dispatcher::DeadlineExpired(*job,
-                                        std::chrono::steady_clock::now())) {
-          support::MetricsRegistry::Add(metrics_,
-                                        "service.deadline_exceeded");
-          dispatcher_.Fail(*job, protocol::kCodeDeadlineExceeded,
-                           "deadline passed before joint exploration", 0,
-                           "deadline");
-          continue;
+      for (Job* job : group.jobs) {
+        if (!FailIfExpired(*job, std::chrono::steady_clock::now(),
+                           "deadline passed before joint exploration")) {
+          remaining.push_back(job);
         }
-        remaining.push_back(job);
       }
       group.jobs = std::move(remaining);
       if (group.jobs.empty()) continue;
@@ -454,25 +579,25 @@ void JobScheduler::ExecuteBatch(std::deque<DispatchJob> batch) {
         value->payload = payload;
         cache_.Insert(key, value);
       } catch (const Error& e) {
-        for (DispatchJob* job : group.jobs) {
-          dispatcher_.Fail(*job, support::ToString(e.category()), e.what());
+        for (Job* job : group.jobs) {
+          Fail(*job, support::ToString(e.category()), e.what());
         }
         continue;
       } catch (const std::exception& e) {
-        for (DispatchJob* job : group.jobs) {
-          dispatcher_.Fail(*job, support::ToString(ErrorCategory::kInternal),
-                           e.what());
+        for (Job* job : group.jobs) {
+          Fail(*job, support::ToString(ErrorCategory::kInternal),
+               e.what());
         }
         continue;
       }
     }
-    for (DispatchJob* job : group.jobs) {
+    for (Job* job : group.jobs) {
       if (cached) job->outcome = "cache_hit";
-      dispatcher_.Respond(*job, protocol::ExploreJointResponse(
-                                    job->request.id, group.digest,
-                                    group.digest_instr, group.engine_name,
-                                    group.space_name, group.prune, cached,
-                                    payload, job->request.rid));
+      Respond(*job, protocol::ExploreJointResponse(
+                        job->request.id, group.digest,
+                        group.digest_instr, group.engine_name,
+                        group.space_name, group.prune, cached,
+                        payload, job->request.rid));
     }
   }
 }

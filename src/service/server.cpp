@@ -28,17 +28,18 @@ using support::ErrorCategory;
               what + ": " + std::strerror(errno));
 }
 
-}  // namespace
-
-Server::Server(ServerOptions options) : options_(std::move(options)) {
-  ExplorationService::Options service_options = options_.service;
-  service_options.on_shutdown_request = [this] { RequestShutdown(); };
-  service_ = std::make_unique<ExplorationService>(service_options);
-  handler_ = service_.get();
+ExplorationService::Options WithShutdownHook(
+    ExplorationService::Options options, std::function<void()> hook) {
+  options.on_shutdown_request = std::move(hook);
+  return options;
 }
 
-Server::Server(ServerOptions options, LineService& handler)
-    : options_(std::move(options)), handler_(&handler) {}
+}  // namespace
+
+Server::Server(ServerOptions options)
+    : options_(std::move(options)),
+      service_(WithShutdownHook(options_.service,
+                                [this] { RequestShutdown(); })) {}
 
 Server::~Server() {
   // Destruction without Wait() still tears everything down.
@@ -255,7 +256,7 @@ void Server::ReadLoop(std::shared_ptr<Connection> connection) {
       start = newline + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      handler_->Handle(line, [this, connection](const std::string& response) {
+      service_.Handle(line, [this, connection](const std::string& response) {
         SendLine(connection, response);
       });
     }
@@ -299,7 +300,7 @@ void Server::Wait() {
   // 2. Answer everything already admitted. Connections are still writable,
   // so in-flight clients get their results; anything submitted from here on
   // is shed with "shutting_down".
-  handler_->Drain();
+  service_.Drain();
 
   // 3. Hang up. shutdown() unblocks the reader threads' recv.
   std::vector<std::pair<std::shared_ptr<Connection>, std::thread>> connections;

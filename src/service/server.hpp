@@ -38,15 +38,9 @@ struct ServerOptions {
 
 class Server {
  public:
-  // Owns an ExplorationService built from options.service (the worker
-  // daemon shape).
+  // Owns an ExplorationService built from options.service; the protocol's
+  // shutdown op is wired to RequestShutdown.
   explicit Server(ServerOptions options);
-  // Serves an external handler instead (the router daemon shape): the
-  // socket machinery is identical, but options.service is ignored except
-  // for options.service.metrics (connection accounting) and the handler
-  // must outlive the server. The handler's shutdown hook should call
-  // RequestShutdown, mirroring what the owned-service constructor wires up.
-  Server(ServerOptions options, LineService& handler);
   ~Server();
 
   Server(const Server&) = delete;
@@ -69,8 +63,7 @@ class Server {
   // returns. Call from the owning thread exactly once.
   void Wait();
 
-  // The owned worker service; only valid for the owned-service constructor.
-  ExplorationService& service() { return *service_; }
+  ExplorationService& service() { return service_; }
 
  private:
   struct Connection {
@@ -89,8 +82,7 @@ class Server {
                 const std::string& line);
 
   ServerOptions options_;
-  std::unique_ptr<ExplorationService> service_;  // null in handler mode
-  LineService* handler_ = nullptr;  // the sink ReadLoop/Wait drive
+  ExplorationService service_;
   int listen_fd_ = -1;
   int port_ = -1;
   std::thread accept_thread_;

@@ -29,25 +29,7 @@
 
 namespace ces::service {
 
-// What the socket front end (service/server.hpp) drives: a transport-free
-// line-in/line-out request sink. ExplorationService (a worker) and
-// fleet::Router (the digest-sharded forwarder) both implement it, so the
-// same Server machinery — accept loop, framing, drain order — serves both
-// daemons.
-class LineService {
- public:
-  using Responder = std::function<void(std::string)>;
-
-  virtual ~LineService() = default;
-  // Routes one NDJSON request line. Must not throw; `done` is invoked
-  // exactly once (inline or from another thread) with the response line,
-  // no trailing newline.
-  virtual void Handle(const std::string& line, Responder done) = 0;
-  // Stops admission and answers everything already admitted.
-  virtual void Drain() = 0;
-};
-
-class ExplorationService : public LineService {
+class ExplorationService {
  public:
   struct Options {
     unsigned jobs = 0;                   // 0 = hardware concurrency
@@ -68,18 +50,18 @@ class ExplorationService : public LineService {
     std::function<void()> on_shutdown_request;
   };
 
-  using Responder = LineService::Responder;
+  using Responder = JobScheduler::Responder;
 
   explicit ExplorationService(Options options);
-  ~ExplorationService() override;  // implies Drain()
+  ~ExplorationService();  // implies Drain()
 
   // Routes one NDJSON request line. Never throws; `done` is invoked exactly
   // once (inline or from a scheduler thread) with the response line, no
   // trailing newline.
-  void Handle(const std::string& line, Responder done) override;
+  void Handle(const std::string& line, Responder done);
 
   // Stops admission and answers everything already queued.
-  void Drain() override;
+  void Drain();
 
   TraceStore& store() { return store_; }
   ResultCache& cache() { return cache_; }

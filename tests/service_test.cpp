@@ -618,6 +618,16 @@ TEST(Protocol, ErrorResponseCarriesRetryHint) {
   EXPECT_EQ(response.retry_after_ms, 250u);
 }
 
+TEST(Protocol, OnlyTraceBeginAndTraceEndAreUnsafeToResend) {
+  using ces::service::protocol::IsIdempotentOp;
+  for (const char* op :
+       {"explore", "stats", "ingest", "trace-chunk", "no-such-op", ""}) {
+    EXPECT_TRUE(IsIdempotentOp(op)) << op;
+  }
+  EXPECT_FALSE(IsIdempotentOp("trace-begin"));
+  EXPECT_FALSE(IsIdempotentOp("trace-end"));
+}
+
 TEST(Protocol, UploadRequestsParseAndValidate) {
   const auto begin = ces::service::ParseRequest(
       "{\"id\":\"b\",\"op\":\"trace-begin\",\"count\":1000,"
@@ -1325,6 +1335,168 @@ TEST(ServerEndToEnd, FinishedConnectionsAreReapedWhileRunning) {
   }
   EXPECT_TRUE(reaped);
   EXPECT_GE(metrics.counter("service.connections"), 13u);
+}
+
+// --------------------------------------------------------------------------
+// Client resend policy against a scripted peer
+
+// A Unix-socket peer that plays a fixed script. The constructor binds the
+// path without listening, so connects are refused until Listen(). Then
+// connection i reads one request line and closes, after writing replies[i]
+// if that entry is non-empty (an empty entry is a mid-stream hangup).
+class ScriptedPeer {
+ public:
+  explicit ScriptedPeer(std::vector<std::string> replies)
+      : path_(TempPath(".sock")), replies_(std::move(replies)) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(fd_, 0);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+  }
+  ~ScriptedPeer() {
+    Stop();
+    ::close(fd_);
+    std::remove(path_.c_str());
+  }
+
+  void Listen() {
+    EXPECT_EQ(::listen(fd_, 8), 0);
+    thread_ = std::thread([this] { Serve(); });
+  }
+
+  // Stops accepting and returns the request lines read, in order.
+  std::vector<std::string> Stop() {
+    ::shutdown(fd_, SHUT_RDWR);  // fails a blocked accept
+    if (thread_.joinable()) thread_.join();
+    return lines_;
+  }
+
+  ces::service::Client NewClient(int attempts, bool verbose = false) const {
+    ces::service::ClientOptions options;
+    options.unix_path = path_;
+    options.timeout_ms = 10'000;
+    options.max_attempts = attempts;
+    options.backoff_base_ms = 5;
+    options.backoff_cap_ms = 20;
+    options.jitter_seed = 0x5eed;
+    options.verbose = verbose;
+    return ces::service::Client(std::move(options));
+  }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  void Serve() {
+    for (const std::string& reply : replies_) {
+      const int fd = ::accept(fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      std::string line;
+      char c = 0;
+      while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line.push_back(c);
+      lines_.push_back(line);
+      if (!reply.empty()) {
+        const std::string framed = reply + "\n";
+        ::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL);
+      }
+      ::close(fd);
+    }
+  }
+
+  std::string path_;
+  std::vector<std::string> replies_;
+  int fd_ = -1;
+  std::thread thread_;
+  std::vector<std::string> lines_;  // read only after the join in Stop()
+};
+
+const char kExploreLine[] =
+    "{\"id\":\"e\",\"op\":\"explore\",\"trace\":\"crc\",\"k\":3}";
+
+std::string CannedExploreAnswer() {
+  std::vector<ces::analytic::DesignPoint> points;
+  points.push_back({.depth = 8, .assoc = 1, .warm_misses = 3});
+  return ces::service::protocol::ExploreResponse(
+      "e", "sha256:" + std::string(64, 'c'), "fused", 3,
+      ces::trace::TraceStats{10, 4, 6}, points, false, "r1");
+}
+
+TEST(ClientResend, RefusedConnectsSpendTheAttemptBudget) {
+  ScriptedPeer peer({CannedExploreAnswer()});  // bound, never listening
+  ces::service::Client client = peer.NewClient(/*attempts=*/3);
+  try {
+    client.Batch({kExploreLine});
+    FAIL() << "a peer that never listens must exhaust the budget";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kIo);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(3 attempts)"), std::string::npos) << what;
+    EXPECT_NE(what.find("unix:" + peer.path()), std::string::npos) << what;
+  }
+  EXPECT_TRUE(peer.Stop().empty());
+}
+
+TEST(ClientResend, RefusedConnectIsRetriedUntilThePeerListens) {
+  ScriptedPeer peer({CannedExploreAnswer()});
+  ces::service::Client client = peer.NewClient(/*attempts=*/200,
+                                               /*verbose=*/true);
+  // The client's first connect lands long before the peer listens; the
+  // budget (200 attempts of 2.5-20 ms backoff) outlasts the wait.
+  auto listener = std::async(std::launch::async, [&peer] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    peer.Listen();
+  });
+  testing::internal::CaptureStderr();
+  const std::vector<ces::service::Response> responses =
+      client.Batch({kExploreLine});
+  const std::string notes = testing::internal::GetCapturedStderr();
+  listener.get();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_TRUE(responses[0].ok) << responses[0].raw;
+  EXPECT_EQ(responses[0].k, 3u);
+  EXPECT_NE(notes.find("cannot connect to unix:" + peer.path()),
+            std::string::npos)
+      << notes;
+  EXPECT_EQ(peer.Stop(), std::vector<std::string>{kExploreLine});
+}
+
+TEST(ClientResend, MidStreamHangupResendsAnIdempotentExplore) {
+  ScriptedPeer peer({"", CannedExploreAnswer()});
+  peer.Listen();
+  ces::service::Client client = peer.NewClient(/*attempts=*/3);
+  const std::vector<ces::service::Response> responses =
+      client.Batch({kExploreLine});
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_TRUE(responses[0].ok) << responses[0].raw;
+  EXPECT_EQ(responses[0].id, "e");
+  ASSERT_EQ(responses[0].points.size(), 1u);
+  EXPECT_EQ(responses[0].points[0].depth, 8u);
+  // The first connection hung up after reading the line; the second got
+  // the identical line again and answered it.
+  EXPECT_EQ(peer.Stop(),
+            (std::vector<std::string>{kExploreLine, kExploreLine}));
+}
+
+TEST(ClientResend, MidStreamHangupWithTraceBeginInFlightAbortsWithIo) {
+  const std::string begin =
+      "{\"id\":\"b\",\"op\":\"trace-begin\",\"count\":4,"
+      "\"address_bits\":32}";
+  ScriptedPeer peer({"", CannedExploreAnswer()});
+  peer.Listen();
+  ces::service::Client client = peer.NewClient(/*attempts=*/3);
+  try {
+    client.Batch({begin});
+    FAIL() << "an unanswered trace-begin must not be resent";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kIo);
+    EXPECT_NE(std::string(e.what()).find("'trace-begin'"), std::string::npos)
+        << e.what();
+  }
+  // Exactly one connection saw it: the session may exist server-side, so a
+  // second trace-begin would open a duplicate.
+  EXPECT_EQ(peer.Stop(), std::vector<std::string>{begin});
 }
 
 // --------------------------------------------------------------------------

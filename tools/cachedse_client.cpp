@@ -1,15 +1,12 @@
 // cachedse-client — command-line client for the exploration daemon.
 //
 //   cachedse-client <explore|stats|ingest|upload|metrics|ping|shutdown|batch>
-//                   (--connect=EP1,EP2,... | --socket=PATH |
-//                    --port=N [--host=127.0.0.1]) [flags]
+//                   (--socket=PATH | --port=N [--host=127.0.0.1]) [flags]
 //
-// --connect takes a comma-separated failover list ("unix:<path>",
-// "<host>:<port>", ":<port>" or "<port>"): the client sticks to the first
-// endpoint that works and fails over on a refused connect. A mid-stream
-// disconnect is different — only idempotent requests are resent (an
-// unanswered trace-begin/trace-end aborts instead of risking a duplicate
-// upload session); --verbose names the failing endpoint on stderr.
+// A refused connect is retried with everything resent; after a mid-stream
+// disconnect only idempotent requests are resent (an unanswered
+// trace-begin/trace-end aborts instead of risking a duplicate upload
+// session). --verbose names the failing endpoint on stderr.
 //
 //   explore  --trace=F|--digest=D [--k=N|--fraction=0.05]
 //            [--engine=fused|fused-tree|reference] [--line-words=1]
@@ -61,8 +58,7 @@ int Usage() {
       stderr,
       "usage: cachedse-client <explore|stats|ingest|upload|metrics|ping|"
       "shutdown|batch>\n"
-      "  (--connect=EP1,EP2,... | --socket=PATH | --port=N "
-      "[--host=127.0.0.1])\n"
+      "  (--socket=PATH | --port=N [--host=127.0.0.1])\n"
       "  explore --trace=F|--digest=D [--k=N|--fraction=0.05] "
       "[--engine=fused|fused-tree|reference]\n"
       "          [--line-words=1] [--max-index-bits=16] [--kind=data|instr] "
@@ -90,10 +86,6 @@ void NoteRid(const Response& response) {
 
 ces::service::ClientOptions TransportOptions(const ces::ArgParser& args) {
   ces::service::ClientOptions options;
-  const std::string connect = args.GetString("connect", "");
-  if (!connect.empty()) {
-    options.endpoints = ces::service::ParseEndpointList(connect);
-  }
   options.unix_path = args.GetString("socket", "");
   options.host = args.GetString("host", "127.0.0.1");
   options.tcp_port = args.Has("port")
@@ -354,14 +346,8 @@ int main(int argc, char** argv) {
   const ces::ArgParser args(argc, argv);
   if (args.positional().empty()) return Usage();
   const std::string command = args.positional()[0];
-  // Exactly one endpoint source: --connect (failover list) or the legacy
-  // --socket / --port pair.
-  const bool has_connect = !args.GetString("connect", "").empty();
-  const bool has_single =
-      !args.GetString("socket", "").empty() != args.Has("port");
-  if (has_connect == has_single ||
-      (has_connect && (!args.GetString("socket", "").empty() ||
-                       args.Has("port")))) {
+  // Exactly one endpoint: --socket or --port.
+  if (args.GetString("socket", "").empty() == !args.Has("port")) {
     return Usage();
   }
   g_verbose = args.GetBool("verbose", false);
