@@ -46,18 +46,6 @@ void BM_Prelude_FusedEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_Prelude_FusedEngine)->Unit(benchmark::kMillisecond);
 
-void BM_Prelude_FusedTreeEngine(benchmark::State& state) {
-  const auto& stripped = BenchStripped();
-  const auto bits = ces::trace::SignificantAddressBits(stripped);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ces::analytic::ComputeMissProfilesFusedTree(stripped, bits));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(stripped.size()));
-}
-BENCHMARK(BM_Prelude_FusedTreeEngine)->Unit(benchmark::kMillisecond);
-
 void BM_Prelude_ReferenceEngine(benchmark::State& state) {
   const auto& trace = BenchTrace();
   for (auto _ : state) {

@@ -9,11 +9,12 @@
 // instruction traces have far smaller N' than the paper's MIPS binaries
 // (tight hand-written kernels), which lets the O(N) prelude dominate.
 //
-// Flags: --engine=reference|fused|fused-tree (default reference: the
-//        paper's explicit data structures)  --synthetic-points=6  --repeats=2
-//        --jobs=N (default 1): prelude worker threads for the fused engines
-//        (the reference engine's global structures are sequential and ignore
-//        it). Profiles are identical for every N; only the clock moves.
+// Flags: --engine=reference|fused (default reference: the paper's explicit
+//        data structures; anything else exits 2)  --synthetic-points=6
+//        --repeats=2  --jobs=N (default 1): prelude worker threads for the
+//        fused engine (the reference engine's global structures are
+//        sequential and ignore it). Profiles are identical for every N; only
+//        the clock moves.
 //        --json=PATH (machine-readable results, docs/OBSERVABILITY.md)
 #include <algorithm>
 #include <cmath>
@@ -92,10 +93,14 @@ int main(int argc, char** argv) {
   const int synthetic = static_cast<int>(args.GetInt("synthetic-points", 6));
   const std::string engine_name = args.GetString("engine", "reference");
   const auto jobs = static_cast<std::uint32_t>(args.GetInt("jobs", 1));
-  const ces::analytic::Engine engine =
-      engine_name == "fused"        ? ces::analytic::Engine::kFused
-      : engine_name == "fused-tree" ? ces::analytic::Engine::kFusedTree
-                                    : ces::analytic::Engine::kReference;
+  if (engine_name != "reference" && engine_name != "fused") {
+    std::fprintf(stderr, "unknown --engine '%s' (expected reference|fused)\n",
+                 engine_name.c_str());
+    return 2;
+  }
+  const ces::analytic::Engine engine = engine_name == "fused"
+                                           ? ces::analytic::Engine::kFused
+                                           : ces::analytic::Engine::kReference;
 
   std::vector<Point> points;
   for (const auto& traces : ces::bench::CollectAllTraces()) {

@@ -15,11 +15,8 @@
 // row reports the kernel level it ran (the Kernel column) and its scan
 // throughput (refs/sec, also the `refs_per_sec` counter in the JSON report
 // — what tools/bench_diff gates on in CI), and a dispatch section re-runs
-// the serial fused traversals under every level the host supports so one
-// invocation prints the scalar-vs-avx2 comparison directly. The fused_tree
-// rows run ComputeMissProfilesFusedTree, a synonym of the fused traversal
-// since the scan is chosen per node; they stay because the CI gate reads
-// them. The per_depth_tree rows still run the Fenwick per-depth baseline.
+// the serial fused traversal under every level the host supports so one
+// invocation prints the scalar-vs-avx2 comparison directly.
 //
 // Flags: --refs=1200000  --max-bits=14  --jobs=0 (0 = hardware concurrency)
 //        --repeats=3  --json=PATH (ces-bench-v1, docs/OBSERVABILITY.md)
@@ -87,8 +84,8 @@ struct Measurement {
 };
 
 Measurement RunFused(const ces::trace::StrippedTrace& stripped,
-                     std::uint32_t max_bits, bool use_tree,
-                     ces::support::ThreadPool* pool, int repeats) {
+                     std::uint32_t max_bits, ces::support::ThreadPool* pool,
+                     int repeats) {
   Measurement m;
   for (int r = 0; r < repeats; ++r) {
     ces::support::MetricsRegistry metrics;
@@ -97,11 +94,7 @@ Measurement RunFused(const ces::trace::StrippedTrace& stripped,
     options.metrics = &metrics;
     ces::Stopwatch watch;
     const auto profiles =
-        use_tree
-            ? ces::analytic::ComputeMissProfilesFusedTree(stripped, max_bits,
-                                                          options)
-            : ces::analytic::ComputeMissProfilesFused(stripped, max_bits,
-                                                      options);
+        ces::analytic::ComputeMissProfilesFused(stripped, max_bits, options);
     (void)profiles;
     m.wall_seconds.push_back(watch.ElapsedSeconds());
     m.counters = {
@@ -120,11 +113,7 @@ Measurement RunFused(const ces::trace::StrippedTrace& stripped,
       g_counting.store(true, std::memory_order_relaxed);
     };
     const auto profiles =
-        use_tree
-            ? ces::analytic::ComputeMissProfilesFusedTree(stripped, max_bits,
-                                                          options)
-            : ces::analytic::ComputeMissProfilesFused(stripped, max_bits,
-                                                      options);
+        ces::analytic::ComputeMissProfilesFused(stripped, max_bits, options);
     g_counting.store(false, std::memory_order_relaxed);
     (void)profiles;
     m.counters["allocations_after_setup"] =
@@ -134,14 +123,14 @@ Measurement RunFused(const ces::trace::StrippedTrace& stripped,
 }
 
 Measurement RunPerDepth(const ces::trace::StrippedTrace& stripped,
-                        std::uint32_t max_bits, bool use_tree,
-                        ces::support::ThreadPool* pool, int repeats) {
+                        std::uint32_t max_bits, ces::support::ThreadPool* pool,
+                        int repeats) {
   Measurement m;
   for (int r = 0; r < repeats; ++r) {
     ces::support::MetricsRegistry metrics;
     ces::Stopwatch watch;
     const auto profiles = ces::cache::ComputeAllDepthProfiles(
-        stripped, max_bits, pool, use_tree, &metrics);
+        stripped, max_bits, pool, /*use_tree=*/false, &metrics);
     m.wall_seconds.push_back(watch.ElapsedSeconds());
     (void)profiles;
     m.counters = {{"refs_scanned", metrics.counter("stack.refs_scanned")}};
@@ -235,27 +224,17 @@ int main(int argc, char** argv) {
     refs_scanned[name] = scanned;
   };
 
-  for (const bool use_tree : {false, true}) {
-    const std::string variant = use_tree ? "fused_tree" : "fused";
-    report(variant, 1, RunFused(stripped, max_bits, use_tree, nullptr, repeats));
-    report(variant, jobs, RunFused(stripped, max_bits, use_tree, &pool, repeats));
-    if (run_per_depth) {
-      const std::string baseline = use_tree ? "per_depth_tree" : "per_depth";
-      report(baseline, jobs,
-             RunPerDepth(stripped, max_bits, use_tree, &pool, repeats));
-    }
+  report("fused", 1, RunFused(stripped, max_bits, nullptr, repeats));
+  report("fused", jobs, RunFused(stripped, max_bits, &pool, repeats));
+  if (run_per_depth) {
+    report("per_depth", jobs, RunPerDepth(stripped, max_bits, &pool, repeats));
   }
 
-  // Dispatch scoreboard: the serial fused traversals re-run under every
+  // Dispatch scoreboard: the serial fused traversal re-runs under every
   // level the host supports (ForceLevel beats CES_SIMD, so this works even
-  // inside a forced run); the rows land in the JSON as dispatch/<variant>/
+  // inside a forced run); the rows land in the JSON as dispatch/fused/
   // <level> and the summary line prints the scalar->avx2 ratio.
-  struct DispatchRate {
-    std::string variant;
-    std::string level;
-    double refs_per_sec;
-  };
-  std::vector<DispatchRate> dispatch_rates;
+  double scalar_rate = 0, avx2_rate = 0;
   {
     simd::Level saved;
     const bool had_forced = simd::ForcedLevel(&saved);
@@ -263,27 +242,21 @@ int main(int argc, char** argv) {
     if (simd::DetectedLevel() == simd::Level::kAvx2) {
       levels.push_back(simd::Level::kAvx2);
     }
-    for (const bool use_tree : {false, true}) {
-      const std::string variant = use_tree ? "fused_tree" : "fused";
-      for (const simd::Level level : levels) {
-        simd::ForceLevel(level);
-        const Measurement m =
-            RunFused(stripped, max_bits, use_tree, nullptr, repeats);
-        const auto scanned = m.counters.at("refs_scanned");
-        const double rate =
-            m.best() > 0 ? static_cast<double>(scanned) / m.best() : 0.0;
-        dispatch_rates.push_back(
-            {variant, simd::LevelName(level), rate});
-        reporter.Add(
-            "dispatch/" + variant + "/" + simd::LevelName(level),
-            {{"refs", std::to_string(refs)},
-             {"max_bits", std::to_string(max_bits)},
-             {"jobs", "1"},
-             {"simd", simd::LevelName(level)}},
-            repeats, m.wall_seconds,
-            {{"refs_scanned", scanned},
-             {"refs_per_sec", static_cast<std::uint64_t>(rate)}});
-      }
+    for (const simd::Level level : levels) {
+      simd::ForceLevel(level);
+      const Measurement m = RunFused(stripped, max_bits, nullptr, repeats);
+      const auto scanned = m.counters.at("refs_scanned");
+      const double rate =
+          m.best() > 0 ? static_cast<double>(scanned) / m.best() : 0.0;
+      (level == simd::Level::kAvx2 ? avx2_rate : scalar_rate) = rate;
+      reporter.Add(std::string("dispatch/fused/") + simd::LevelName(level),
+                   {{"refs", std::to_string(refs)},
+                    {"max_bits", std::to_string(max_bits)},
+                    {"jobs", "1"},
+                    {"simd", simd::LevelName(level)}},
+                   repeats, m.wall_seconds,
+                   {{"refs_scanned", scanned},
+                    {"refs_per_sec", static_cast<std::uint64_t>(rate)}});
     }
     if (had_forced) {
       simd::ForceLevel(saved);
@@ -296,33 +269,19 @@ int main(int argc, char** argv) {
               "(N=%u, depths<=2^%u) ==\n",
               refs, max_bits);
   std::fputs(table.ToString().c_str(), stdout);
-  for (const bool use_tree : {false, true}) {
-    const std::string variant = use_tree ? "fused_tree" : "fused";
-    const std::string baseline = use_tree ? "per_depth_tree" : "per_depth";
-    const double serial = best[variant + "/1"];
-    const double parallel = best[variant + "/" + std::to_string(jobs)];
-    std::printf("%s: parallel speedup %.2fx over serial", variant.c_str(),
-                serial / parallel);
-    if (run_per_depth) {
-      std::printf("; refs scanned %.1f%% of per-depth baseline",
-                  100.0 * static_cast<double>(refs_scanned[variant]) /
-                      static_cast<double>(refs_scanned[baseline]));
-    }
-    std::printf("\n");
+  std::printf("fused: parallel speedup %.2fx over serial",
+              best["fused/1"] / best["fused/" + std::to_string(jobs)]);
+  if (run_per_depth) {
+    std::printf("; refs scanned %.1f%% of per-depth baseline",
+                100.0 * static_cast<double>(refs_scanned["fused"]) /
+                    static_cast<double>(refs_scanned["per_depth"]));
   }
+  std::printf("\n");
   if (simd::DetectedLevel() == simd::Level::kAvx2) {
-    for (const bool use_tree : {false, true}) {
-      const std::string variant = use_tree ? "fused_tree" : "fused";
-      double scalar_rate = 0, avx2_rate = 0;
-      for (const DispatchRate& r : dispatch_rates) {
-        if (r.variant != variant) continue;
-        (r.level == "avx2" ? avx2_rate : scalar_rate) = r.refs_per_sec;
-      }
-      std::printf(
-          "dispatch %s: scalar %.3gM refs/s -> avx2 %.3gM refs/s (%.2fx)\n",
-          variant.c_str(), scalar_rate / 1e6, avx2_rate / 1e6,
-          scalar_rate > 0 ? avx2_rate / scalar_rate : 0.0);
-    }
+    std::printf(
+        "dispatch fused: scalar %.3gM refs/s -> avx2 %.3gM refs/s (%.2fx)\n",
+        scalar_rate / 1e6, avx2_rate / 1e6,
+        scalar_rate > 0 ? avx2_rate / scalar_rate : 0.0);
   } else {
     std::printf("dispatch: avx2 unavailable on this host (detected=%s)\n",
                 simd::LevelName(simd::DetectedLevel()));

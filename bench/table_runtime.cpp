@@ -9,8 +9,8 @@
 //        --jobs=N (default 1): worker threads for every timed phase; with
 //        N > 1 two extra parallel-scaling sections appear — ExhaustiveSweep
 //        at jobs=1 vs jobs=N, and the subtree-parallel fused prelude at
-//        jobs=1 vs jobs=N per engine. Results are identical for every N —
-//        only the wall clock moves.
+//        jobs=1 vs jobs=N. Results are identical for every N — only the
+//        wall clock moves.
 //        --json=PATH (machine-readable results, docs/OBSERVABILITY.md)
 #include <algorithm>
 #include <cstdio>
@@ -85,35 +85,31 @@ void EmitScalingTable(const std::vector<ces::bench::BenchmarkTraces>& all,
   std::fputs(table.ToString().c_str(), stdout);
 }
 
-// Prelude scaling of the fused engines themselves: jobs=1 vs jobs=N of the
+// Prelude scaling of the fused engine itself: jobs=1 vs jobs=N of the
 // same subtree-parallel traversal (results identical, only the wall clock
 // moves). This is the axis the PR's perf claim lives on, so it is also
 // reported to --json for CI tracking.
 void EmitFusedScalingTable(const std::vector<ces::bench::BenchmarkTraces>& all,
                            int repeats, std::uint32_t jobs,
                            ces::bench::BenchReporter& reporter) {
-  ces::AsciiTable table({"Benchmark", "Engine", "Prelude jobs=1",
-                         "Prelude jobs=N", "Speedup"});
+  ces::AsciiTable table(
+      {"Benchmark", "Prelude jobs=1", "Prelude jobs=N", "Speedup"});
+  const auto fused = ces::analytic::Engine::kFused;
   for (const auto& traces : all) {
-    for (const auto engine :
-         {ces::analytic::Engine::kFused, ces::analytic::Engine::kFusedTree}) {
-      const char* name =
-          engine == ces::analytic::Engine::kFused ? "fused" : "fused-tree";
-      const std::vector<double> serial =
-          TimeAnalytical(traces.data, repeats, engine, 1);
-      const std::vector<double> parallel =
-          TimeAnalytical(traces.data, repeats, engine, jobs);
-      const double s = *std::min_element(serial.begin(), serial.end());
-      const double p = *std::min_element(parallel.begin(), parallel.end());
-      reporter.Add("prelude_scaling." + traces.name + "." + name,
-                   {{"engine", name}, {"jobs", std::to_string(jobs)}}, repeats,
-                   parallel);
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.2fx", s / p);
-      table.AddRow({traces.name, name, ces::FormatSeconds(s),
-                    ces::FormatSeconds(p), buf});
-      std::fflush(stdout);
-    }
+    const std::vector<double> serial =
+        TimeAnalytical(traces.data, repeats, fused, 1);
+    const std::vector<double> parallel =
+        TimeAnalytical(traces.data, repeats, fused, jobs);
+    const double s = *std::min_element(serial.begin(), serial.end());
+    const double p = *std::min_element(parallel.begin(), parallel.end());
+    reporter.Add("prelude_scaling." + traces.name + ".fused",
+                 {{"engine", "fused"}, {"jobs", std::to_string(jobs)}},
+                 repeats, parallel);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.2fx", s / p);
+    table.AddRow({traces.name, ces::FormatSeconds(s), ces::FormatSeconds(p),
+                  buf});
+    std::fflush(stdout);
   }
   std::printf("\n== Parallel scaling: subtree-parallel fused prelude "
               "(data traces), jobs=%u ==\n",

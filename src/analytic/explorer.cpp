@@ -122,25 +122,15 @@ void Explorer::BuildPrelude(const trace::StrippedTrace& stripped,
   if (auto* progress = support::ProgressReporter::Global()) {
     progress->BeginPhase("prelude depths", max_index_bits_ + 1);
   }
-  if (options.engine == Engine::kFused || options.engine == Engine::kFusedTree) {
-    if (options.prelude == PreludeMode::kPerDepth) {
-      // Explicitly requested cross-validation baseline: per-depth Mattson
-      // passes computed concurrently, one depth per pool index. Identical
-      // histograms to the fused traversal — both are exact per-set LRU
-      // stack distance counts in canonical form.
-      support::ThreadPool pool(jobs, metrics_);
-      profiles_ = cache::ComputeAllDepthProfiles(
-          stripped, max_index_bits_, &pool, /*use_tree=*/false, metrics_);
-    } else {
-      // The fused depth-first traversal (section 2.4) for every jobs value:
-      // jobs > 1 runs its nodes in parallel, it does not change algorithms.
-      support::ScopedTraceSpan span("explore.fused_traversal");
-      std::optional<support::ThreadPool> pool;
-      FusedPreludeOptions fused;
-      fused.metrics = metrics_;
-      if (jobs > 1) fused.pool = &pool.emplace(jobs, metrics_);
-      profiles_ = ComputeMissProfilesFused(stripped, max_index_bits_, fused);
-    }
+  if (options.engine == Engine::kFused) {
+    // The fused depth-first traversal (section 2.4) for every jobs value:
+    // jobs > 1 runs its nodes in parallel, it does not change algorithms.
+    support::ScopedTraceSpan span("explore.fused_traversal");
+    std::optional<support::ThreadPool> pool;
+    FusedPreludeOptions fused;
+    fused.metrics = metrics_;
+    if (jobs > 1) fused.pool = &pool.emplace(jobs, metrics_);
+    profiles_ = ComputeMissProfilesFused(stripped, max_index_bits_, fused);
   } else {
     // The reference engine's explicit phases (sections 2.2-2.3), each its
     // own span so a profile shows where BCAT vs MRCT construction time goes.
@@ -161,11 +151,8 @@ void Explorer::BuildPrelude(const trace::StrippedTrace& stripped,
                                     stripped.unique_count(), max_index_bits_);
   }
   if (auto* progress = support::ProgressReporter::Global()) {
-    // The per-depth scans tick as they finish; the fused and reference
-    // engines produce all depths in one traversal, so account for whatever
-    // the engine did not tick itself before closing the phase.
-    const std::uint64_t total = max_index_bits_ + 1;
-    if (progress->done() < total) progress->Tick(total - progress->done());
+    // Both engines produce every depth in one traversal.
+    progress->Tick(max_index_bits_ + 1);
     progress->EndPhase();
   }
   // Freeze the suffix-sum solve caches while the Explorer is still private

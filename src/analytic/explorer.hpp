@@ -33,24 +33,6 @@ enum class Engine : std::uint8_t {
   // Each node picks the move-to-front or the windowed Bennett-Kruskal scan
   // by a cost model (docs/ALGORITHM.md).
   kFused = 1,
-  // Synonym of kFused, kept so existing callers and the "fused-tree" CLI
-  // and protocol spelling still work: the scan is chosen per node now.
-  kFusedTree = 2,
-};
-
-// How the fused engines compute the per-depth histograms. Irrelevant for
-// Engine::kReference, which has its own explicit BCAT/MRCT phases.
-enum class PreludeMode : std::uint8_t {
-  // Single fused depth-first traversal (section 2.4): every node scans only
-  // its own subsequence, so total work is the sum of *active* subsequence
-  // lengths — strictly less than (depths+1) full passes whenever subtrees
-  // prune. Subtree-parallel when jobs > 1; the default.
-  kFusedTraversal = 0,
-  // (max_index_bits + 1) independent full-trace Mattson passes, one per
-  // depth, parallelised over depths. Asymptotically the redundancy the fused
-  // traversal exists to avoid — kept reachable as the cross-validation
-  // baseline, not as a hidden jobs>1 fallback.
-  kPerDepth = 1,
 };
 
 struct ExplorerOptions {
@@ -64,7 +46,7 @@ struct ExplorerOptions {
   // axis), after which depths/misses are in units of lines.
   std::uint32_t line_words = 1;
   // Worker threads for the prelude. 1 (default) is the serial code path;
-  // 0 picks the hardware concurrency. With jobs > 1 the fused engines run
+  // 0 picks the hardware concurrency. With jobs > 1 the fused engine runs
   // the *same* fused traversal, subtree-parallel: the tree is partitioned
   // serially down to a cut level and the independent subtrees fan out onto
   // a pool, with partial histograms merged in subtree order — profiles and
@@ -72,8 +54,6 @@ struct ExplorerOptions {
   // determinism tests assert. The reference engine's global BCAT/MRCT
   // structures are inherently sequential; it ignores this option.
   std::uint32_t jobs = 1;
-  // Prelude algorithm for the fused engines; see PreludeMode.
-  PreludeMode prelude = PreludeMode::kFusedTraversal;
   // Optional run-metrics sink. The prelude records "explore.depths",
   // "explore.trace_refs", "explore.unique_refs" (deterministic counters),
   // the "explore.prelude_seconds" span, and three deterministic histograms —
@@ -83,16 +63,14 @@ struct ExplorerOptions {
   // The fused traversal additionally records its honest work counters
   // "explore.fused_nodes" / "explore.fused_refs", split by scan into
   // "explore.scan_mtf_refs" / "explore.scan_fenwick_refs" (plus the
-  // volatile gauge "explore.cut_level"); the per-depth baseline records
-  // "stack.passes" / "stack.refs_scanned" instead. Counters and histograms
-  // are byte-identical in ToJson for every jobs value and across
-  // kFused/kFusedTree (given the same prelude mode). nullptr (default)
+  // volatile gauge "explore.cut_level"). Counters and histograms are
+  // byte-identical in ToJson for every jobs value. nullptr (default)
   // disables collection.
   //
   // Independently, with a global support::TraceSink installed the prelude
   // emits nested spans (explore.prelude / explore.strip / per-engine phase
-  // spans / stack.scan per depth) and with a global ProgressReporter it
-  // reports per-depth progress; see docs/OBSERVABILITY.md.
+  // spans) and with a global ProgressReporter it reports the prelude phase;
+  // see docs/OBSERVABILITY.md.
   support::MetricsRegistry* metrics = nullptr;
 };
 

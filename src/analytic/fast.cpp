@@ -73,6 +73,10 @@ struct LaneScratch {
 // threshold sits at the locality break-even, since real traces have it.
 constexpr std::size_t kFenwickMinDepth = 128;
 
+// Target number of subtrees per worker at the cut level. Larger values cut
+// the tree deeper, into more and smaller tasks (docs/PARALLEL.md).
+constexpr std::uint64_t kOverpartition = 4;
+
 class FusedTraversal {
  public:
   FusedTraversal(const trace::StrippedTrace& stripped,
@@ -135,7 +139,7 @@ class FusedTraversal {
     // any associativity (distance zero in its row, or the row was pruned).
     // Trimming to the last non-empty distance reproduces the canonical hist
     // sizes of the per-depth baseline, so profiles compare equal across
-    // engines, prelude modes, and jobs values.
+    // engines, the per-depth oracle, and jobs values.
     const std::uint64_t warm_total = stripped_.warm_count();
     for (std::uint32_t level = 0; level <= max_bits_; ++level) {
       CES_CHECK(main_.counted[level] <= warm_total);
@@ -231,8 +235,7 @@ class FusedTraversal {
     const std::size_t n = stripped_.size();
     const unsigned jobs = options_.pool == nullptr ? 1 : options_.pool->jobs();
     if (jobs > 1 && max_bits_ > 0) {
-      const std::uint64_t want =
-          std::uint64_t{jobs} * std::max(options_.overpartition, 1u);
+      const std::uint64_t want = std::uint64_t{jobs} * kOverpartition;
       while ((std::uint64_t{1} << cut_) < want && cut_ < max_bits_) ++cut_;
     }
 
@@ -620,12 +623,6 @@ std::vector<cache::StackProfile> ComputeMissProfilesFused(
     const trace::StrippedTrace& stripped, std::uint32_t max_index_bits,
     const FusedPreludeOptions& options) {
   return FusedTraversal(stripped, max_index_bits, options).Run();
-}
-
-std::vector<cache::StackProfile> ComputeMissProfilesFusedTree(
-    const trace::StrippedTrace& stripped, std::uint32_t max_index_bits,
-    const FusedPreludeOptions& options) {
-  return ComputeMissProfilesFused(stripped, max_index_bits, options);
 }
 
 }  // namespace ces::analytic

@@ -19,11 +19,11 @@
 // allocations, which tests/fused_alloc_test.cpp pins down.
 //
 // With a thread pool the top of the tree runs as node tasks: the root is
-// split, then every node above a cut level L ~ log2(jobs * overpartition)
-// is scanned, split and queues its children, each level-L subtree runs to
-// the leaves as one task, and the root's scan runs beside them. Each pool
-// chunk tallies into a private partial histogram; the merged integer sums
-// are byte-identical to the serial traversal for every jobs value
+// split, then every node above a cut level L ~ log2(4 * jobs) is scanned,
+// split and queues its children, each level-L subtree runs to the leaves as
+// one task, and the root's scan runs beside them. Each pool chunk tallies
+// into a private partial histogram; the merged integer sums are
+// byte-identical to the serial traversal for every jobs value
 // (docs/PARALLEL.md has the argument).
 //
 // The per-element hot loops — the split-bit count, the stable radix
@@ -70,10 +70,6 @@ struct FusedPreludeOptions {
   // host-dependent); both are excluded from the deterministic metrics
   // surface.
   support::MetricsRegistry* metrics = nullptr;
-  // Target number of subtrees per worker at the cut level. Larger values
-  // cut the tree deeper, into more and smaller tasks; 4 is a good default
-  // (see docs/PARALLEL.md).
-  std::uint32_t overpartition = 4;
   // Test/bench hook: invoked exactly once, after every scratch buffer has
   // been allocated and before the first node scan. Code running after the
   // hook performs no heap allocation on the serial path (the pool dispatch
@@ -86,12 +82,6 @@ struct FusedPreludeOptions {
 // distance-0 bucket and cold counts) to cache::ComputeAllDepthProfiles and
 // to the reference ComputeMissProfiles, for every pool size.
 std::vector<cache::StackProfile> ComputeMissProfilesFused(
-    const trace::StrippedTrace& stripped, std::uint32_t max_index_bits,
-    const FusedPreludeOptions& options = {});
-
-// Synonym of ComputeMissProfilesFused, kept for existing callers: the
-// traversal picks its scan per node now.
-std::vector<cache::StackProfile> ComputeMissProfilesFusedTree(
     const trace::StrippedTrace& stripped, std::uint32_t max_index_bits,
     const FusedPreludeOptions& options = {});
 

@@ -7,7 +7,6 @@
 #include "support/fenwick.hpp"
 #include "support/metrics.hpp"
 #include "support/pool.hpp"
-#include "support/progress.hpp"
 #include "support/trace_event.hpp"
 
 namespace ces::cache {
@@ -73,7 +72,7 @@ namespace {
 // and the Fenwick storage is a single high-water-mark buffer.
 struct ScanScratch {
   // Per-set MTF stacks (move-to-front scan) or per-set subsequences
-  // (Bennett-Kruskal scan), indexed by set - set_begin.
+  // (Bennett-Kruskal scan), indexed by set.
   std::vector<std::vector<std::uint32_t>> buckets;
   std::vector<std::size_t> last;        // per id: position in its sequence
   std::vector<std::uint32_t> epoch_of;  // per id: epoch of last sighting
@@ -98,20 +97,15 @@ struct ScanScratch {
   }
 };
 
-// Move-to-front pass restricted to sets in [set_begin, set_end). Every
-// reference belongs to exactly one set, so ranges partition the work: the
-// full profile is the (order-independent) sum of the range profiles.
-void ScanSetRange(const trace::StrippedTrace& stripped, std::uint32_t mask,
-                  std::size_t set_begin, std::size_t set_end,
-                  StackProfile& profile, ScanScratch& scratch) {
+// Move-to-front pass over every set of the depth selected by `mask`.
+void ScanSets(const trace::StrippedTrace& stripped, std::uint32_t mask,
+              StackProfile& profile, ScanScratch& scratch) {
   // One move-to-front stack of reference ids per set. Distances in embedded
   // traces are small, so the linear scan beats an order-statistics tree.
-  scratch.PrepareBuckets(set_end - set_begin);
+  scratch.PrepareBuckets(std::size_t{mask} + 1);
   for (std::size_t j = 0; j < stripped.ids.size(); ++j) {
     const std::uint32_t id = stripped.ids[j];
-    const std::size_t set = stripped.unique[id] & mask;
-    if (set < set_begin || set >= set_end) continue;
-    auto& stack = scratch.buckets[set - set_begin];
+    auto& stack = scratch.buckets[stripped.unique[id] & mask];
     if (stripped.is_first[j]) {
       ++profile.cold;
       stack.insert(stack.begin(), id);
@@ -126,22 +120,19 @@ void ScanSetRange(const trace::StrippedTrace& stripped, std::uint32_t mask,
   }
 }
 
-// Bennett-Kruskal pass restricted to sets in [set_begin, set_end): per-set
-// subsequences scanned with a Fenwick tree of "most recent occurrence"
-// marks, so the number of distinct references between two occurrences is a
-// range sum.
-void ScanSetRangeTree(const trace::StrippedTrace& stripped, std::uint32_t mask,
-                      std::size_t set_begin, std::size_t set_end,
-                      StackProfile& profile, ScanScratch& scratch) {
-  scratch.PrepareBuckets(set_end - set_begin);
-  for (std::size_t j = 0; j < stripped.ids.size(); ++j) {
-    const std::uint32_t id = stripped.ids[j];
-    const std::size_t set = stripped.unique[id] & mask;
-    if (set < set_begin || set >= set_end) continue;
-    scratch.buckets[set - set_begin].push_back(id);
+// Bennett-Kruskal pass over every set of the depth selected by `mask`:
+// per-set subsequences scanned with a Fenwick tree of "most recent
+// occurrence" marks, so the number of distinct references between two
+// occurrences is a range sum.
+void ScanSetsTree(const trace::StrippedTrace& stripped, std::uint32_t mask,
+                  StackProfile& profile, ScanScratch& scratch) {
+  const std::size_t sets = std::size_t{mask} + 1;
+  scratch.PrepareBuckets(sets);
+  for (const std::uint32_t id : stripped.ids) {
+    scratch.buckets[stripped.unique[id] & mask].push_back(id);
   }
 
-  for (std::size_t bucket = 0; bucket < set_end - set_begin; ++bucket) {
+  for (std::size_t bucket = 0; bucket < sets; ++bucket) {
     const auto& sequence = scratch.buckets[bucket];
     if (sequence.empty()) continue;
     // Epoch stamping makes the per-reference "seen this set yet?" state
@@ -171,43 +162,13 @@ void ScanSetRangeTree(const trace::StrippedTrace& stripped, std::uint32_t mask,
   }
 }
 
-// Sums the per-chunk partial histograms in chunk order. uint64 addition is
-// associative and commutative, so the result is identical to the serial scan
-// for every chunk count.
-void MergePartials(const std::vector<StackProfile>& partials,
-                   StackProfile& profile) {
-  for (const StackProfile& partial : partials) {
-    profile.cold += partial.cold;
-    if (partial.hist.size() > profile.hist.size()) {
-      profile.hist.resize(partial.hist.size(), 0);
-    }
-    for (std::size_t d = 0; d < partial.hist.size(); ++d) {
-      profile.hist[d] += partial.hist[d];
-    }
-  }
-}
-
 template <typename Scan>
 StackProfile ComputeWithScan(const trace::StrippedTrace& stripped,
-                             std::uint32_t index_bits,
-                             support::ThreadPool* pool, Scan scan,
-                             ScanScratch* scratch) {
+                             std::uint32_t index_bits, Scan scan,
+                             ScanScratch& scratch) {
   StackProfile profile;
   profile.index_bits = index_bits;
-  const std::uint32_t sets = 1u << index_bits;
-  const std::uint32_t mask = sets - 1;
-  if (pool != nullptr && pool->jobs() > 1 && sets > 1) {
-    std::vector<StackProfile> partials(pool->jobs());
-    std::vector<ScanScratch> scratches(pool->jobs());
-    pool->ParallelForChunks(
-        sets, [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-          scan(stripped, mask, begin, end, partials[chunk], scratches[chunk]);
-        });
-    MergePartials(partials, profile);
-  } else {
-    ScanScratch local;
-    scan(stripped, mask, 0, sets, profile, scratch ? *scratch : local);
-  }
+  scan(stripped, (1u << index_bits) - 1, profile, scratch);
   // Canonical form: hist always has at least the distance-0 bucket so that
   // profiles from different engines compare equal structurally.
   if (profile.hist.empty()) profile.hist.resize(1, 0);
@@ -217,15 +178,15 @@ StackProfile ComputeWithScan(const trace::StrippedTrace& stripped,
 }  // namespace
 
 StackProfile ComputeStackProfile(const trace::StrippedTrace& stripped,
-                                 std::uint32_t index_bits,
-                                 support::ThreadPool* pool) {
-  return ComputeWithScan(stripped, index_bits, pool, ScanSetRange, nullptr);
+                                 std::uint32_t index_bits) {
+  ScanScratch scratch;
+  return ComputeWithScan(stripped, index_bits, ScanSets, scratch);
 }
 
 StackProfile ComputeStackProfileTree(const trace::StrippedTrace& stripped,
-                                     std::uint32_t index_bits,
-                                     support::ThreadPool* pool) {
-  return ComputeWithScan(stripped, index_bits, pool, ScanSetRangeTree, nullptr);
+                                     std::uint32_t index_bits) {
+  ScanScratch scratch;
+  return ComputeWithScan(stripped, index_bits, ScanSetsTree, scratch);
 }
 
 std::vector<StackProfile> ComputeAllDepthProfiles(
@@ -242,14 +203,11 @@ std::vector<StackProfile> ComputeAllDepthProfiles(
     support::ScopedTraceSpan depth_span("stack.scan(bits=" +
                                         std::to_string(index_bits) + ")");
     // Each depth's pass is serial: depth-level slots keep the output
-    // placement independent of scheduling, and a nested per-set split would
-    // run inline anyway. The chunk's scratch carries over between depths.
+    // placement independent of scheduling. The chunk's scratch carries over
+    // between depths.
     profiles[bits] =
-        use_tree ? ComputeWithScan(stripped, index_bits, nullptr,
-                                   ScanSetRangeTree, &scratch)
-                 : ComputeWithScan(stripped, index_bits, nullptr, ScanSetRange,
-                                   &scratch);
-    support::ProgressReporter::GlobalTick();
+        use_tree ? ComputeWithScan(stripped, index_bits, ScanSetsTree, scratch)
+                 : ComputeWithScan(stripped, index_bits, ScanSets, scratch);
   };
   if (pool != nullptr && pool->jobs() > 1) {
     std::vector<ScanScratch> scratches(pool->jobs());

@@ -62,30 +62,20 @@ struct StackProfile {
 // Single pass over the stripped trace for one depth (move-to-front stacks;
 // O(N * mean stack depth), the fastest choice for embedded traces whose
 // reuse distances are short).
-//
-// When `pool` is non-null (and has more than one job), the set index space
-// is statically partitioned into contiguous ranges, one per pool chunk: every
-// reference belongs to exactly one set, so per-set stacks — and therefore the
-// per-chunk partial histograms — are independent, and summing the partials in
-// chunk order yields a histogram bit-identical to the serial pass for every
-// worker count.
 StackProfile ComputeStackProfile(const trace::StrippedTrace& stripped,
-                                 std::uint32_t index_bits,
-                                 support::ThreadPool* pool = nullptr);
+                                 std::uint32_t index_bits);
 
 // Same result via the Bennett-Kruskal algorithm: per-set subsequences with a
 // Fenwick tree of "most recent occurrence" marks, O(N log N) regardless of
 // stack depth. Preferable when working sets are large and reuse distances
-// long; bench/ablation_engines quantifies the crossover. Parallelised the
-// same way (sets partitioned across pool chunks).
+// long; bench/ablation_engines quantifies the crossover.
 StackProfile ComputeStackProfileTree(const trace::StrippedTrace& stripped,
-                                     std::uint32_t index_bits,
-                                     support::ThreadPool* pool = nullptr);
+                                     std::uint32_t index_bits);
 
-// Profiles for every depth 2^0 .. 2^max_index_bits (one pass each). With a
-// pool, depths are computed concurrently (each depth's pass stays serial —
-// depth-level parallelism load-balances better than splitting the few sets
-// of the shallow depths); `use_tree` selects the Bennett-Kruskal scan. Scan
+// Profiles for every depth 2^0 .. 2^max_index_bits (one pass each): the
+// per-depth oracle the fused prelude is tested and benchmarked against. With
+// a pool, depths are computed concurrently (each depth's pass stays serial);
+// `use_tree` selects the Bennett-Kruskal scan. Scan
 // scratch (per-set buckets, per-reference bookkeeping, Fenwick storage) is
 // reused across the depths of a chunk, so after warm-up the passes allocate
 // nothing per depth.

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <utility>
 
+#include "analytic/explorer.hpp"
 #include "cache/cache.hpp"
 #include "cache/energy.hpp"
 #include "explore/pareto.hpp"
@@ -24,6 +25,11 @@ using cache::CacheConfig;
 using cache::HierarchyConfig;
 using support::Error;
 using support::ErrorCategory;
+
+// Pairs admitted per pruning wave. Pruning decisions happen only at wave
+// boundaries, in canonical order, so the wave size — not the job count —
+// defines which configurations are skipped (JointGolden pins the result).
+constexpr std::size_t kWavePairs = 8;
 
 std::vector<std::uint32_t> SortedUnique(std::vector<std::uint32_t> values) {
   std::sort(values.begin(), values.end());
@@ -143,7 +149,6 @@ struct LevelProfiles {
 LevelProfiles::PerLine ProfileOneLine(const trace::Trace& stream,
                                       std::uint32_t line,
                                       std::uint32_t max_index_bits,
-                                      analytic::Engine engine,
                                       std::uint32_t jobs) {
   LevelProfiles::PerLine per;
   if (stream.refs.empty()) {
@@ -151,7 +156,6 @@ LevelProfiles::PerLine ProfileOneLine(const trace::Trace& stream,
     return per;
   }
   analytic::ExplorerOptions options;
-  options.engine = engine;
   options.line_words = line;
   options.max_index_bits = std::max(1u, max_index_bits);
   options.jobs = jobs;
@@ -223,13 +227,11 @@ CollapsedStreams CollapseRuns(const trace::AccessSequence& accesses,
 // MissesAtAssoc(A >= 1) are unchanged.
 LevelProfiles BuildProfiles(
     const std::map<std::uint32_t, CollapsedStreams>& collapsed,
-    trace::StreamKind kind, std::uint32_t max_index_bits,
-    analytic::Engine engine, std::uint32_t jobs) {
+    trace::StreamKind kind, std::uint32_t max_index_bits, std::uint32_t jobs) {
   LevelProfiles profiles;
   for (const auto& [line, runs] : collapsed) {
-    profiles.by_line.emplace(line, ProfileOneLine(runs.Of(kind).stream, line,
-                                                  max_index_bits, engine,
-                                                  jobs));
+    profiles.by_line.emplace(
+        line, ProfileOneLine(runs.Of(kind).stream, line, max_index_bits, jobs));
   }
   return profiles;
 }
@@ -280,7 +282,7 @@ struct PairOutcome {
 PairOutcome EvaluatePair(const trace::AccessSequence& accesses,
                          const L1Events& instr, const L1Events& data,
                          const std::vector<std::uint32_t>& l2_lines,
-                         std::uint32_t l2_max_bits, analytic::Engine engine) {
+                         std::uint32_t l2_max_bits) {
   // The L2 stream in cache::TwoLevelCache order: at every merged position
   // that misses its L1, the refill, then the dirty victim's write-back. The
   // two L1s' miss positions are disjoint (each position has one kind).
@@ -313,8 +315,8 @@ PairOutcome EvaluatePair(const trace::AccessSequence& accesses,
   outcome.l1d_writebacks = data.writebacks.size();
   for (std::uint32_t line : l2_lines) {
     // jobs = 1: pair evaluations are already fanned out across the pool.
-    outcome.l2_by_line.emplace(
-        line, ProfileOneLine(stream, line, l2_max_bits, engine, 1));
+    outcome.l2_by_line.emplace(line,
+                               ProfileOneLine(stream, line, l2_max_bits, 1));
   }
   return outcome;
 }
@@ -508,14 +510,10 @@ trace::AccessSequence InterleaveProportional(const trace::Trace& instr,
 }
 
 JointMetrics EvaluateJointConfig(const trace::AccessSequence& accesses,
-                                 const HierarchyConfig& config,
-                                 analytic::Engine engine) {
+                                 const HierarchyConfig& config) {
   if (!ValidateJointConfig(config)) {
     throw Error(ErrorCategory::kValidation, "joint",
                 "invalid joint configuration " + JointConfigKey(config));
-  }
-  if (engine == analytic::Engine::kReference) {
-    engine = analytic::Engine::kFused;
   }
   std::uint64_t n_instr = 0;
   for (const trace::Access& access : accesses) {
@@ -528,7 +526,7 @@ JointMetrics EvaluateJointConfig(const trace::AccessSequence& accesses,
                  accesses.size()),
       SimulateL1(config.l1d, runs.Of(trace::StreamKind::kData),
                  accesses.size()),
-      {config.l2.line_words}, config.l2.index_bits(), engine);
+      {config.l2.line_words}, config.l2.index_bits());
   return ScoreConfig(outcome, config, n_instr, accesses.size() - n_instr);
 }
 
@@ -613,10 +611,6 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
   const JointSpace space = NormalizeSpace(raw_space);
   const std::uint32_t jobs =
       options.jobs == 0 ? support::HardwareConcurrency() : options.jobs;
-  const analytic::Engine engine = options.engine == analytic::Engine::kReference
-                                      ? analytic::Engine::kFused
-                                      : options.engine;
-  const std::uint32_t wave_pairs = std::max(1u, options.wave_pairs);
 
   JointResult result;
   result.space_configs = space.TotalConfigs();
@@ -749,7 +743,7 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
           accesses,
           l1_events.at(geometry(trace::StreamKind::kInstruction, pair.l1i)),
           l1_events.at(geometry(trace::StreamKind::kData, pair.l1d)),
-          space.l2.lines, l2_max_bits, engine);
+          space.l2.lines, l2_max_bits);
       if (s == 0 && take_floor) {
         for (const auto& [line, per] : outcome.l2_by_line) {
           result.l2_floor.emplace(line, per.cold);
@@ -791,12 +785,10 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
   for (std::uint32_t depth : space.l1d.depths) {
     l1_max_bits = std::max(l1_max_bits, cache::CeilLog2(depth));
   }
-  const LevelProfiles instr_profiles =
-      BuildProfiles(collapsed, trace::StreamKind::kInstruction, l1_max_bits,
-                    engine, jobs);
+  const LevelProfiles instr_profiles = BuildProfiles(
+      collapsed, trace::StreamKind::kInstruction, l1_max_bits, jobs);
   const LevelProfiles data_profiles =
-      BuildProfiles(collapsed, trace::StreamKind::kData, l1_max_bits, engine,
-                    jobs);
+      BuildProfiles(collapsed, trace::StreamKind::kData, l1_max_bits, jobs);
 
   const bool l1i_lru = space.l1i_policy == cache::ReplacementPolicy::kLru;
   const bool l1d_lru = space.l1d_policy == cache::ReplacementPolicy::kLru;
@@ -882,9 +874,9 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
   }
 
   for (std::size_t wave_begin = 0; wave_begin < remaining.size();
-       wave_begin += wave_pairs) {
+       wave_begin += kWavePairs) {
     const std::size_t wave_end =
-        std::min(remaining.size(), wave_begin + wave_pairs);
+        std::min(remaining.size(), wave_begin + kWavePairs);
     std::vector<std::size_t> scheduled;
     std::vector<std::vector<std::uint32_t>> scheduled_l2;
     // Decisions are serial, in canonical order, against the front as of the

@@ -48,7 +48,6 @@
 #include <string>
 #include <vector>
 
-#include "analytic/explorer.hpp"
 #include "cache/hierarchy.hpp"
 #include "trace/trace.hpp"
 
@@ -149,13 +148,6 @@ struct JointOptions {
   // Worker threads for pair evaluation; 0 = hardware concurrency. Fronts and
   // every counter in JointResult are identical for every jobs value.
   std::uint32_t jobs = 1;
-  // Engine for the analytical preludes (reference engine is not supported
-  // here; it falls back to fused).
-  analytic::Engine engine = analytic::Engine::kFused;
-  // Pairs admitted per pruning wave. Pruning decisions happen only at wave
-  // boundaries, in canonical order, so the wave size — not the job count —
-  // defines which configurations are skipped.
-  std::uint32_t wave_pairs = 8;
   // Optional counters sink; records the explore.joint_* counters documented
   // in docs/OBSERVABILITY.md (deterministic for every jobs value).
   support::MetricsRegistry* metrics = nullptr;
@@ -192,9 +184,7 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
 // cross-validation tests.
 // Throws support::Error (kValidation) when the configuration is invalid.
 JointMetrics EvaluateJointConfig(const trace::AccessSequence& accesses,
-                                 const cache::HierarchyConfig& config,
-                                 analytic::Engine engine =
-                                     analytic::Engine::kFused);
+                                 const cache::HierarchyConfig& config);
 
 // Deterministic proportional interleave of a split instruction/data trace
 // pair: instruction i precedes data access d iff i * Nd <= d * Ni, the

@@ -192,9 +192,8 @@ Request ParseRequest(const std::string& line) {
     } else if (key == "engine") {
       request.engine = RequireString(value, "engine");
       saw_engine = true;
-      if (request.engine != "fused" && request.engine != "fused-tree" &&
-          request.engine != "reference") {
-        FailValidation("field 'engine' must be fused|fused-tree|reference");
+      if (request.engine != "fused" && request.engine != "reference") {
+        FailValidation("field 'engine' must be fused|reference");
       }
     } else if (key == "k") {
       request.k = RequireInteger(value, "k", ~std::uint64_t{0});
@@ -352,8 +351,8 @@ Request ParseRequest(const std::string& line) {
           "'k', 'fraction', 'line_words' and 'max_index_bits' are not valid "
           "for explore-joint (the space preset fixes the axes)");
     }
-    if (request.engine == "reference") {
-      FailValidation("explore-joint engine must be fused|fused-tree");
+    if (request.engine != "fused") {
+      FailValidation("explore-joint engine must be fused");
     }
   } else if (!request.trace_instr.empty() || !request.digest_instr.empty() ||
              saw_space || saw_prune) {

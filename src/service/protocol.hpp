@@ -84,7 +84,7 @@ struct Request {
   std::string trace_instr;
   std::string digest_instr;
   std::string kind = "data";     // .din reads and workload runs: data|instr
-  std::string engine = "fused";  // fused|fused-tree|reference
+  std::string engine = "fused";  // fused|reference
   std::string space = "default"; // explore-joint: joint-space preset
   bool prune = true;             // explore-joint: enable the pruning layers
   bool has_k = false;

@@ -18,7 +18,6 @@ using support::ErrorCategory;
 
 analytic::Engine EngineFromName(const std::string& name) {
   if (name == "reference") return analytic::Engine::kReference;
-  if (name == "fused-tree") return analytic::Engine::kFusedTree;
   return analytic::Engine::kFused;
 }
 
@@ -317,14 +316,13 @@ void JobScheduler::ExecuteBatch(std::deque<Job> batch) {
   };
   std::vector<Group> groups;
   std::unordered_map<std::string, std::size_t> group_index;
-  // Joint requests group on (data digest, instr digest, engine, space,
-  // prune): one ExploreJoint run answers every request in the group.
+  // Joint requests group on (data digest, instr digest, space, prune): one
+  // ExploreJoint run answers every request in the group.
   struct JointGroup {
     std::string digest;        // data stream
     std::string digest_instr;  // instruction stream
     std::shared_ptr<const trace::Trace> data;
     std::shared_ptr<const trace::Trace> instr;
-    std::string engine_name;
     std::string space_name;
     bool prune = true;
     std::vector<Job*> jobs;
@@ -417,7 +415,7 @@ void JobScheduler::ExecuteBatch(std::deque<Job> batch) {
         }
         const std::string key = trace.pinned.digest + '|' +
                                 instr_trace.pinned.digest + '|' +
-                                request.engine + '|' + request.space + '|' +
+                                request.space + '|' +
                                 (request.prune ? "1" : "0");
         auto [pos, inserted] =
             joint_group_index.try_emplace(key, joint_groups.size());
@@ -427,7 +425,6 @@ void JobScheduler::ExecuteBatch(std::deque<Job> batch) {
           group.digest_instr = instr_trace.pinned.digest;
           group.data = MaterializedOf(trace.pinned);
           group.instr = MaterializedOf(instr_trace.pinned);
-          group.engine_name = request.engine;
           group.space_name = request.space;
           group.prune = request.prune;
           joint_groups.push_back(std::move(group));
@@ -538,8 +535,7 @@ void JobScheduler::ExecuteBatch(std::deque<Job> batch) {
 
   for (JointGroup& group : joint_groups) {
     const ResultKey key{group.digest, /*engine=*/
-                        static_cast<std::uint8_t>(
-                            EngineFromName(group.engine_name)),
+                        static_cast<std::uint8_t>(analytic::Engine::kFused),
                         /*line_words=*/0, /*max_index_bits=*/0, /*k=*/0,
                         group.digest_instr,
                         "joint|" + group.space_name + "|prune=" +
@@ -569,7 +565,6 @@ void JobScheduler::ExecuteBatch(std::deque<Job> batch) {
         explore::JointOptions options;
         options.prune = group.prune;
         options.jobs = pool_.jobs();
-        options.engine = EngineFromName(group.engine_name);
         options.metrics = metrics_;
         const explore::JointResult result = ExploreJoint(
             accesses, explore::JointSpaceByName(group.space_name), options);
@@ -595,7 +590,7 @@ void JobScheduler::ExecuteBatch(std::deque<Job> batch) {
       if (cached) job->outcome = "cache_hit";
       Respond(*job, protocol::ExploreJointResponse(
                         job->request.id, group.digest,
-                        group.digest_instr, group.engine_name,
+                        group.digest_instr, "fused",
                         group.space_name, group.prune, cached,
                         payload, job->request.rid));
     }

@@ -481,7 +481,7 @@ void TraceStore::AbortUpload(const std::string& token) {
 std::shared_ptr<const analytic::Explorer> TraceStore::GetOrBuildExplorer(
     const std::string& digest, const analytic::ExplorerOptions& options,
     bool* reused) {
-  const PreludeKey key{options.engine, options.prelude, options.line_words,
+  const PreludeKey key{options.engine, options.line_words,
                        options.max_index_bits};
   std::shared_ptr<const trace::Trace> trace;
   std::shared_ptr<const trace::TraceView> view;

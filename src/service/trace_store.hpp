@@ -10,8 +10,8 @@
 // stripped once, and a digest returned to one client is a stable handle for
 // every other client.
 //
-// Per digest, the store pins one Explorer per (engine, prelude mode,
-// line_words, max_index_bits) actually queried. Preludes are built at most
+// Per digest, the store pins one Explorer per (engine, line_words,
+// max_index_bits) actually queried. Preludes are built at most
 // once per key even under concurrent requests (late arrivals block on the
 // builder's future), which is what turns a burst of same-trace requests into
 // one fused pass — and because the scheduler passes the pool's job count
@@ -91,8 +91,8 @@ class TraceStore {
   // ingested) — the caller decides whether that is an error.
   PinnedTrace Find(const std::string& digest);
 
-  // The pinned prelude for (digest, options.engine, options.prelude,
-  // options.line_words, options.max_index_bits), built on first use.
+  // The pinned prelude for (digest, options.engine, options.line_words,
+  // options.max_index_bits), built on first use.
   // Concurrent callers for the same key share one build. Throws
   // support::Error (kValidation) when the digest is not pinned.
   // When `reused` is non-null it is set to whether an already-pinned prelude
@@ -144,11 +144,6 @@ class TraceStore {
  private:
   struct PreludeKey {
     analytic::Engine engine;
-    // Both prelude modes produce identical profiles, but they are different
-    // builds (the fused traversal is the subtree-parallel fast path, the
-    // per-depth baseline a deliberate cross-check) — keying on the mode keeps
-    // "which algorithm ran" faithful to what the request asked for.
-    analytic::PreludeMode prelude;
     std::uint32_t line_words;
     std::uint32_t max_index_bits;
     auto operator<=>(const PreludeKey&) const = default;

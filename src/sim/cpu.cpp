@@ -1,5 +1,6 @@
 #include "sim/cpu.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "isa/disasm.hpp"
@@ -36,8 +37,10 @@ Cpu::Cpu(const isa::Program& program, std::size_t memory_bytes)
   for (std::size_t i = 0; i < program.text.size(); ++i) {
     WriteWord(text_base_ + static_cast<std::uint32_t>(i) * 4, program.text[i]);
   }
-  std::memcpy(memory_.data() + program.data_base, program.data.data(),
-              program.data.size());
+  // std::copy, not memcpy: an empty data segment has a null data() pointer,
+  // which memcpy may not be passed even for a zero-byte copy.
+  std::copy(program.data.begin(), program.data.end(),
+            memory_.begin() + program.data_base);
 
   pc_ = program.entry;
   regs_.fill(0);

@@ -135,31 +135,12 @@ TEST(FusedEngine, MatchesReferenceEngineProfiles) {
   }
 }
 
-TEST(FusedEngine, TreeVariantMatchesMtfVariant) {
-  for (int seed = 0; seed < 6; ++seed) {
-    ces::Rng rng(500 + static_cast<std::uint64_t>(seed));
-    const Trace trace = ces::trace::LocalityMix(rng, 48, 400, 2500);
-    const StrippedTrace stripped = Strip(trace);
-    const std::uint32_t bits = ces::trace::SignificantAddressBits(stripped);
-    const auto mtf = ComputeMissProfilesFused(stripped, bits);
-    const auto tree = ComputeMissProfilesFusedTree(stripped, bits);
-    ASSERT_EQ(mtf.size(), tree.size());
-    for (std::size_t level = 0; level < mtf.size(); ++level) {
-      EXPECT_EQ(mtf[level].hist, tree[level].hist)
-          << "seed " << seed << " level " << level;
-      EXPECT_EQ(mtf[level].cold, tree[level].cold);
-    }
-  }
-}
-
 TEST(ExplorerTest, AllThreeEnginesAgree) {
   ces::Rng rng(777);
   const Trace trace = ces::trace::RandomWorkingSet(rng, 70, 2000);
   const Explorer fused(trace, {.engine = Engine::kFused});
-  const Explorer tree(trace, {.engine = Engine::kFusedTree});
   const Explorer reference(trace, {.engine = Engine::kReference});
   for (std::uint64_t k : {0ull, 9ull, 77ull}) {
-    EXPECT_EQ(fused.Solve(k).points, tree.Solve(k).points) << k;
     EXPECT_EQ(fused.Solve(k).points, reference.Solve(k).points) << k;
   }
 }

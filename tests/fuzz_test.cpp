@@ -385,6 +385,10 @@ constexpr RequestCase kRequestCases[] = {
     {"line_words not a power of two",
      "{\"id\":\"1\",\"op\":\"explore\",\"trace\":\"x\",\"line_words\":3}",
      ErrorCategory::kValidation},
+    {"explore fused-tree engine",
+     "{\"id\":\"1\",\"op\":\"explore\",\"trace\":\"x\","
+     "\"engine\":\"fused-tree\"}",
+     ErrorCategory::kValidation},
     {"max_index_bits too large",
      "{\"id\":\"1\",\"op\":\"explore\",\"trace\":\"x\",\"max_index_bits\":"
      "40}",
@@ -409,6 +413,10 @@ constexpr RequestCase kRequestCases[] = {
     {"explore-joint reference engine",
      "{\"id\":\"1\",\"op\":\"explore-joint\",\"trace\":\"x\","
      "\"trace_instr\":\"y\",\"engine\":\"reference\"}",
+     ErrorCategory::kValidation},
+    {"explore-joint fused-tree engine",
+     "{\"id\":\"1\",\"op\":\"explore-joint\",\"trace\":\"x\","
+     "\"trace_instr\":\"y\",\"engine\":\"fused-tree\"}",
      ErrorCategory::kValidation},
     {"explore-joint unknown space",
      "{\"id\":\"1\",\"op\":\"explore-joint\",\"trace\":\"x\","
@@ -472,7 +480,7 @@ const char* kValidLines[] = {
     "{\"id\":\"5\",\"op\":\"ingest\",\"trace\":\"no-such-file.trc\","
     "\"kind\":\"instr\"}",
     "{\"id\":\"6\",\"op\":\"explore-joint\",\"trace\":\"no-such-file.trc\","
-    "\"trace_instr\":\"also-missing.trc\",\"engine\":\"fused-tree\","
+    "\"trace_instr\":\"also-missing.trc\",\"engine\":\"fused\","
     "\"space\":\"small\",\"prune\":false,\"deadline_ms\":1000}",
     "{\"id\":\"7\",\"op\":\"trace-begin\",\"count\":4,\"kind\":\"instr\","
     "\"address_bits\":16,\"name\":\"uploaded trace\"}",

@@ -101,22 +101,6 @@ TEST(ParallelDeterminismTest, ExhaustiveSweepPointsAndCoverage) {
   }
 }
 
-TEST(ParallelDeterminismTest, StackProfileSetPartitioning) {
-  ces::support::ThreadPool pool(4);
-  auto traces = TestTraces();
-  traces.push_back(WorkloadTrace());
-  for (const auto& trace : traces) {
-    const auto stripped = ces::trace::Strip(trace);
-    for (std::uint32_t bits = 0; bits <= 5; ++bits) {
-      ExpectSameProfile(ces::cache::ComputeStackProfile(stripped, bits),
-                        ces::cache::ComputeStackProfile(stripped, bits, &pool));
-      ExpectSameProfile(
-          ces::cache::ComputeStackProfileTree(stripped, bits),
-          ces::cache::ComputeStackProfileTree(stripped, bits, &pool));
-    }
-  }
-}
-
 TEST(ParallelDeterminismTest, AllDepthProfilesDepthPartitioning) {
   ces::support::ThreadPool pool(4);
   for (const auto& trace : TestTraces()) {
@@ -151,9 +135,8 @@ TEST(ParallelDeterminismTest, EveryStrategyIsJobsInvariant) {
 
 TEST(ParallelDeterminismTest, ExplorerProfilesAreJobsInvariant) {
   for (const auto& trace : TestTraces()) {
-    for (const auto engine : {ces::analytic::Engine::kFused,
-                              ces::analytic::Engine::kFusedTree,
-                              ces::analytic::Engine::kReference}) {
+    for (const auto engine :
+         {ces::analytic::Engine::kFused, ces::analytic::Engine::kReference}) {
       const ces::analytic::Explorer serial(
           trace, {.engine = engine, .max_index_bits = 6, .jobs = 1});
       const ces::analytic::Explorer parallel(
@@ -169,24 +152,19 @@ TEST(ParallelDeterminismTest, ExplorerProfilesAreJobsInvariant) {
   }
 }
 
-// The per-depth baseline is an explicit opt-in now (never a hidden jobs>1
-// fallback) and must keep producing the same profiles as the fused traversal
-// — that is what makes it a cross-validation oracle.
+// The parallel Explorer prelude against the per-depth MTF oracle (the one
+// perfbench checks answers with), computed depth-parallel on its own pool.
 TEST(ParallelDeterminismTest, PerDepthPreludeMatchesFusedTraversal) {
+  ces::support::ThreadPool pool(4);
   for (const auto& trace : TestTraces()) {
-    for (const auto engine :
-         {ces::analytic::Engine::kFused, ces::analytic::Engine::kFusedTree}) {
-      const ces::analytic::Explorer fused(
-          trace, {.engine = engine, .max_index_bits = 6, .jobs = 4});
-      const ces::analytic::Explorer per_depth(
-          trace, {.engine = engine,
-                  .max_index_bits = 6,
-                  .jobs = 4,
-                  .prelude = ces::analytic::PreludeMode::kPerDepth});
-      ASSERT_EQ(fused.profiles().size(), per_depth.profiles().size());
-      for (std::size_t i = 0; i < fused.profiles().size(); ++i) {
-        ExpectSameProfile(fused.profiles()[i], per_depth.profiles()[i]);
-      }
+    const ces::analytic::Explorer fused(trace,
+                                        {.max_index_bits = 6, .jobs = 4});
+    const auto stripped = ces::trace::Strip(trace);
+    const auto per_depth = ces::cache::ComputeAllDepthProfiles(
+        stripped, fused.max_index_bits(), &pool);
+    ASSERT_EQ(fused.profiles().size(), per_depth.size());
+    for (std::size_t i = 0; i < per_depth.size(); ++i) {
+      ExpectSameProfile(fused.profiles()[i], per_depth[i]);
     }
   }
 }
@@ -239,29 +217,22 @@ TEST(ParallelDeterminismTest, FusedSubtreeParallelDifferentialSweep) {
 }
 
 // The deterministic metrics surface — counters AND histograms — must be
-// byte-identical across jobs values and engines; this is what lets CI diff
+// byte-identical across jobs values; this is what lets CI diff
 // --metrics=json between --jobs=1/2/8 runs.
 TEST(ParallelDeterminismTest, MetricsJsonIsJobsAndEngineInvariant) {
   for (const auto& trace : TestTraces()) {
     std::string expected;
-    for (const auto engine : {ces::analytic::Engine::kFused,
-                              ces::analytic::Engine::kFusedTree}) {
-      for (const std::uint32_t jobs : {1u, 2u, 8u}) {
-        ces::support::MetricsRegistry metrics;
-        const ces::analytic::Explorer explorer(trace,
-                                               {.engine = engine,
-                                                .max_index_bits = 6,
-                                                .jobs = jobs,
-                                                .metrics = &metrics});
-        (void)explorer.Solve(3);
-        const std::string json = metrics.ToJson(/*include_volatile=*/false);
-        EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-        if (expected.empty()) {
-          expected = json;
-        } else {
-          EXPECT_EQ(json, expected)
-              << "engine " << static_cast<int>(engine) << " jobs " << jobs;
-        }
+    for (const std::uint32_t jobs : {1u, 2u, 8u}) {
+      ces::support::MetricsRegistry metrics;
+      const ces::analytic::Explorer explorer(
+          trace, {.max_index_bits = 6, .jobs = jobs, .metrics = &metrics});
+      (void)explorer.Solve(3);
+      const std::string json = metrics.ToJson(/*include_volatile=*/false);
+      EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+      if (expected.empty()) {
+        expected = json;
+      } else {
+        EXPECT_EQ(json, expected) << "jobs " << jobs;
       }
     }
   }

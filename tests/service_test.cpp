@@ -568,13 +568,13 @@ TEST(TraceStore, VanishedSpillFileSurfacesAsIoError) {
 TEST(Protocol, RequestRoundTripsEveryField) {
   const auto request = ces::service::ParseRequest(
       "{\"id\":\"q1\",\"op\":\"explore\",\"trace\":\"crc\","
-      "\"kind\":\"instr\",\"engine\":\"fused-tree\",\"k\":42,"
+      "\"kind\":\"instr\",\"engine\":\"reference\",\"k\":42,"
       "\"line_words\":4,\"max_index_bits\":10,\"deadline_ms\":250}");
   EXPECT_EQ(request.id, "q1");
   EXPECT_EQ(request.op, ces::service::Op::kExplore);
   EXPECT_EQ(request.trace, "crc");
   EXPECT_EQ(request.kind, "instr");
-  EXPECT_EQ(request.engine, "fused-tree");
+  EXPECT_EQ(request.engine, "reference");
   EXPECT_TRUE(request.has_k);
   EXPECT_EQ(request.k, 42u);
   EXPECT_FALSE(request.has_fraction);

@@ -344,27 +344,23 @@ TEST(SimdDispatchTest, SolveIsKernelLevelInvariant) {
   traces.push_back(ces::trace::LocalityMix(rng, 64, 2048, 3000));
 
   for (const auto& trace : traces) {
-    for (const auto engine :
-         {ces::analytic::Engine::kFused, ces::analytic::Engine::kFusedTree}) {
-      simd::ForceLevel(simd::Level::kScalar);
-      const ces::analytic::Explorer scalar(
-          trace, {.engine = engine, .max_index_bits = 6, .jobs = 2});
-      simd::ForceLevel(simd::Level::kAvx2);
-      const ces::analytic::Explorer avx2(
-          trace, {.engine = engine, .max_index_bits = 6, .jobs = 2});
-      ASSERT_EQ(scalar.profiles().size(), avx2.profiles().size());
-      for (std::size_t i = 0; i < scalar.profiles().size(); ++i) {
-        ExpectSameProfile(scalar.profiles()[i], avx2.profiles()[i]);
-      }
-      for (const std::uint64_t k : {0ull, 3ull, 25ull}) {
-        const auto a = scalar.Solve(k);
-        const auto b = avx2.Solve(k);
-        ASSERT_EQ(a.points.size(), b.points.size());
-        for (std::size_t i = 0; i < a.points.size(); ++i) {
-          EXPECT_EQ(a.points[i].depth, b.points[i].depth);
-          EXPECT_EQ(a.points[i].assoc, b.points[i].assoc);
-          EXPECT_EQ(a.points[i].warm_misses, b.points[i].warm_misses);
-        }
+    simd::ForceLevel(simd::Level::kScalar);
+    const ces::analytic::Explorer scalar(trace,
+                                         {.max_index_bits = 6, .jobs = 2});
+    simd::ForceLevel(simd::Level::kAvx2);
+    const ces::analytic::Explorer avx2(trace, {.max_index_bits = 6, .jobs = 2});
+    ASSERT_EQ(scalar.profiles().size(), avx2.profiles().size());
+    for (std::size_t i = 0; i < scalar.profiles().size(); ++i) {
+      ExpectSameProfile(scalar.profiles()[i], avx2.profiles()[i]);
+    }
+    for (const std::uint64_t k : {0ull, 3ull, 25ull}) {
+      const auto a = scalar.Solve(k);
+      const auto b = avx2.Solve(k);
+      ASSERT_EQ(a.points.size(), b.points.size());
+      for (std::size_t i = 0; i < a.points.size(); ++i) {
+        EXPECT_EQ(a.points[i].depth, b.points[i].depth);
+        EXPECT_EQ(a.points[i].assoc, b.points[i].assoc);
+        EXPECT_EQ(a.points[i].warm_misses, b.points[i].warm_misses);
       }
     }
   }

@@ -1,16 +1,12 @@
 // cachedse — unified command-line front end to the library.
 //
 //   cachedse explore  --trace=app.ctr [--k=N | --fraction=0.05]
-//                     [--engine=fused|fused-tree|reference] [--line-words=1]
-//                     [--jobs=N] [--prelude=fused|per-depth]
-//                     (--prelude=per-depth opts into the one-pass-per-depth
-//                      cross-validation baseline; the default fused traversal
-//                      runs in parallel when --jobs > 1; fused-tree is a
-//                      synonym of fused)
+//                     [--engine=fused|reference] [--line-words=1] [--jobs=N]
+//                     (the fused traversal runs in parallel when --jobs > 1)
 //   cachedse explore-joint --trace=WORKLOAD | --trace-instr=F --trace-data=F
 //                     [--space=default|small] [--l1i-depths=16,32 ...]
 //                     [--l1i-policy=lru|fifo|random|plru ...] [--prune=true]
-//                     [--engine=fused|fused-tree] [--jobs=N]
+//                     [--jobs=N]
 //                     [--format=table|json|csv] [--json=FILE]
 //                     (joint L1I x L1D x L2 Pareto front over misses, AMAT
 //                      and energy; --json writes a ces-bench-v1 report with
@@ -84,11 +80,10 @@ int Usage() {
       "usage: cachedse <explore|explore-joint|stats|compare|workload|convert>"
       " [flags]\n"
       "  explore  --trace=F [--k=N|--fraction=0.05] [--engine=fused|"
-      "fused-tree|reference] [--prelude=fused|per-depth] [--line-words=1] "
-      "[--jobs=N] [--trace-io=auto|mmap|memory]\n"
+      "reference] [--line-words=1] [--jobs=N] [--trace-io=auto|mmap|memory]\n"
       "  explore-joint --trace=WORKLOAD | --trace-instr=F --trace-data=F\n"
       "           [--space=default|small] [--l1i-depths=A,B ...flags...]\n"
-      "           [--prune=true] [--engine=fused|fused-tree] [--jobs=N]\n"
+      "           [--prune=true] [--jobs=N]\n"
       "           [--format=table|json|csv] [--json=FILE]\n"
       "  stats    --trace=F [--trace-io=auto|mmap|memory]\n"
       "  compare  --trace=F[,F2...] [--fraction=0.05[,0.10...]] "
@@ -301,25 +296,13 @@ int CmdExplore(const ces::ArgParser& args, MetricsEmitter& metrics) {
 
   ces::analytic::ExplorerOptions options;
   const std::string engine = args.GetString("engine", "fused");
-  if (engine != "fused" && engine != "fused-tree" && engine != "reference") {
+  if (engine != "fused" && engine != "reference") {
     throw ces::support::Error(ces::support::ErrorCategory::kUsage, "cachedse",
                               "unknown --engine '" + engine +
-                                  "' (expected fused|fused-tree|reference)");
+                                  "' (expected fused|reference)");
   }
-  options.engine = engine == "reference"
-                       ? ces::analytic::Engine::kReference
-                   : engine == "fused-tree"
-                       ? ces::analytic::Engine::kFusedTree
-                       : ces::analytic::Engine::kFused;
-  const std::string prelude = args.GetString("prelude", "fused");
-  if (prelude != "fused" && prelude != "per-depth") {
-    throw ces::support::Error(
-        ces::support::ErrorCategory::kUsage, "cachedse",
-        "unknown --prelude '" + prelude + "' (expected fused|per-depth)");
-  }
-  options.prelude = prelude == "per-depth"
-                        ? ces::analytic::PreludeMode::kPerDepth
-                        : ces::analytic::PreludeMode::kFusedTraversal;
+  options.engine = engine == "reference" ? ces::analytic::Engine::kReference
+                                         : ces::analytic::Engine::kFused;
   options.line_words =
       static_cast<std::uint32_t>(args.GetInt("line-words", 1));
   options.jobs = JobsFlag(args);
@@ -475,14 +458,6 @@ int CmdExploreJoint(const ces::ArgParser& args, MetricsEmitter& metrics) {
   options.prune = args.GetBool("prune", true);
   options.jobs = JobsFlag(args);
   options.metrics = metrics.get();
-  const std::string engine = args.GetString("engine", "fused");
-  if (engine != "fused" && engine != "fused-tree") {
-    throw ces::support::Error(
-        ces::support::ErrorCategory::kUsage, "cachedse",
-        "unknown --engine '" + engine + "' (expected fused|fused-tree)");
-  }
-  options.engine = engine == "fused-tree" ? ces::analytic::Engine::kFusedTree
-                                          : ces::analytic::Engine::kFused;
   ces::support::MetricsRegistry::SetGauge(metrics.get(), "pool.jobs",
                                           options.jobs);
 

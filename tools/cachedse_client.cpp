@@ -9,7 +9,7 @@
 // session). --verbose names the failing endpoint on stderr.
 //
 //   explore  --trace=F|--digest=D [--k=N|--fraction=0.05]
-//            [--engine=fused|fused-tree|reference] [--line-words=1]
+//            [--engine=fused|reference] [--line-words=1]
 //            [--max-index-bits=16] [--kind=data|instr] [--deadline-ms=0]
 //            Output is byte-identical to offline `cachedse explore` for the
 //            same trace and parameters — the acceptance bar for the service.
@@ -60,7 +60,7 @@ int Usage() {
       "shutdown|batch>\n"
       "  (--socket=PATH | --port=N [--host=127.0.0.1])\n"
       "  explore --trace=F|--digest=D [--k=N|--fraction=0.05] "
-      "[--engine=fused|fused-tree|reference]\n"
+      "[--engine=fused|reference]\n"
       "          [--line-words=1] [--max-index-bits=16] [--kind=data|instr] "
       "[--deadline-ms=0]\n"
       "  stats   --trace=F|--digest=D [--kind=data|instr]\n"
