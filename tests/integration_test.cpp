@@ -7,6 +7,8 @@
 // surfaces — --trace-out and --metrics=json — as a real consumer would.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -209,6 +211,24 @@ TEST(CachedseCli, ExploreJointEmitsDeterministicReportAndBenchJson) {
         "\"pruned_configs\":", "\"front_size\":"}) {
     EXPECT_NE(bench1.find(needle), std::string::npos) << needle;
   }
+}
+
+// There is no compile subcommand (every workload is MR32 assembly), so the
+// CLI must reject it as an unknown command: usage error, exit code 2.
+TEST(CachedseCli, CompileSubcommandIsAUsageError) {
+  const char* bin = std::getenv("CACHEDSE_BIN");
+  if (bin == nullptr || bin[0] == '\0') {
+    GTEST_SKIP() << "CACHEDSE_BIN not set (run under ctest)";
+  }
+  const std::string dir = ::testing::TempDir();
+  const std::string source_path = dir + "/one_line.mc";
+  std::ofstream(source_path) << "int main() { return 0; }\n";
+  const std::string command = std::string(bin) + " compile --source=" +
+                              source_path + " > " + dir +
+                              "/compile.out 2>&1";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << command;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << command;
 }
 
 TEST(CsvExport, OptimalTableHasHeaderAndAllRows) {

@@ -1,11 +1,10 @@
-// Write-policy, Belady-OPT and victim-buffer tests (the policy-study
-// extensions around the paper's fixed LRU/write-back assumption).
+// Write-policy and Belady-OPT tests (the policy-study extensions around
+// the paper's fixed LRU/write-back assumption).
 #include <gtest/gtest.h>
 
 #include "cache/opt.hpp"
 #include "cache/sim.hpp"
 #include "cache/stack.hpp"
-#include "cache/victim.hpp"
 #include "support/rng.hpp"
 #include "trace/strip.hpp"
 #include "trace/synthetic.hpp"
@@ -111,60 +110,6 @@ TEST(OptTest, ZeroMissWhenWorkingSetFits) {
   const auto stripped = Strip(trace);
   EXPECT_EQ(OptWarmMisses(stripped, 0, 16), 0u);
   EXPECT_EQ(OptWarmMisses(stripped, 2, 4), 0u);
-}
-
-TEST(VictimTest, ZeroEntriesEqualsPlainCache) {
-  ces::Rng rng(21);
-  const Trace trace = ces::trace::LocalityMix(rng, 40, 300, 3000);
-  const CacheConfig config = Make(16, 1);
-  const VictimStats with_buffer = SimulateVictim(trace, config, 0);
-  const CacheStats plain = SimulateTrace(trace, config);
-  EXPECT_EQ(with_buffer.main.misses, plain.misses);
-  EXPECT_EQ(with_buffer.victim_hits, 0u);
-  EXPECT_EQ(with_buffer.EffectiveWarmMisses(), plain.warm_misses());
-}
-
-TEST(VictimTest, CatchesDirectMappedPingPong) {
-  // Addresses 0 and 16 collide in a depth-16 direct-mapped cache; a single
-  // victim entry turns the ping-pong into swaps.
-  Trace trace;
-  for (int i = 0; i < 50; ++i) {
-    trace.refs.push_back(0);
-    trace.refs.push_back(16);
-  }
-  const VictimStats stats = SimulateVictim(trace, Make(16, 1), 1);
-  EXPECT_EQ(stats.main.warm_misses(), 98u);  // main cache still ping-pongs
-  EXPECT_EQ(stats.victim_hits, 98u);         // ...but the buffer catches all
-  EXPECT_EQ(stats.EffectiveWarmMisses(), 0u);
-  EXPECT_EQ(stats.memory_fetches, 2u);       // the two cold fills
-}
-
-TEST(VictimTest, FewEntriesApproachTwoWayCache) {
-  ces::Rng rng(22);
-  const Trace trace = ces::trace::LocalityMix(rng, 200, 800, 8000);
-  const std::uint64_t direct = SimulateTrace(trace, Make(64, 1)).warm_misses();
-  const std::uint64_t two_way = SimulateTrace(trace, Make(64, 2)).warm_misses();
-  const std::uint64_t with_victims =
-      SimulateVictim(trace, Make(64, 1), 4).EffectiveWarmMisses();
-  // Jouppi's observation: a small victim buffer recovers part of the gap to
-  // 2-way. On this capacity-dominated trace the recovery is partial; the
-  // conflict-dominated case below is exact.
-  EXPECT_LT(with_victims, direct);
-  EXPECT_LE(two_way, direct);
-}
-
-TEST(VictimTest, RemovesPureConflictMissesEntirely) {
-  // Three lines colliding in one set: even a 2-way cache thrashes under
-  // LRU, but a direct-mapped cache plus two victim entries holds all three.
-  Trace trace;
-  for (int i = 0; i < 200; ++i) trace.refs.push_back((i % 3) * 64);
-  const std::uint64_t direct = SimulateTrace(trace, Make(64, 1)).warm_misses();
-  const std::uint64_t two_way = SimulateTrace(trace, Make(64, 2)).warm_misses();
-  const VictimStats stats = SimulateVictim(trace, Make(64, 1), 2);
-  EXPECT_EQ(direct, 197u);
-  EXPECT_EQ(two_way, 197u);  // LRU 2-way also thrashes on a 3-line cycle
-  EXPECT_EQ(stats.EffectiveWarmMisses(), 0u);
-  EXPECT_EQ(stats.memory_fetches, 3u);
 }
 
 }  // namespace

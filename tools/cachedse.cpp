@@ -20,9 +20,6 @@
 //   cachedse workload --benchmark=crc --out=dir   (generate + save traces)
 //   cachedse convert  --trace=in.{ctr,trc,din} --out=out.{ctr,trc,din}
 //                     [--kind=data|instr]         (din needs --kind on read)
-//   cachedse compile  --source=prog.mc [--out=prog.s | --run]
-//                     (MiniC -> MR32 assembly; --run executes and prints
-//                      the out() words)
 //
 // explore/stats/compare/convert accept --metrics=json: a final stdout line
 // with the run's counters (refs parsed, lines skipped, configs swept, ...)
@@ -52,7 +49,6 @@
 #include <vector>
 
 #include "analytic/explorer.hpp"
-#include "cc/compiler.hpp"
 #include "explore/joint.hpp"
 #include "explore/report.hpp"
 #include "explore/strategy.hpp"
@@ -670,53 +666,6 @@ int CmdWorkload(const ces::ArgParser& args) {
   return 0;
 }
 
-int CmdCompile(const ces::ArgParser& args) {
-  const std::string path = args.GetString("source", "");
-  if (path.empty()) return Usage();
-  std::ifstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::string source((std::istreambuf_iterator<char>(file)),
-                     std::istreambuf_iterator<char>());
-  const std::string assembly = ces::cc::Compile(source);
-
-  const std::string out = args.GetString("out", "");
-  if (!out.empty()) {
-    std::ofstream os(out);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s\n", out.c_str());
-      return 1;
-    }
-    os << assembly;
-    std::printf("wrote %s\n", out.c_str());
-  }
-  if (args.GetBool("run", out.empty())) {
-    const ces::isa::Program program = ces::isa::Assemble(assembly);
-    ces::sim::Cpu cpu(program);
-    const ces::sim::StopReason reason = cpu.Run();
-    if (reason != ces::sim::StopReason::kHalted) {
-      std::fprintf(stderr, "program stopped abnormally: %s\n",
-                   cpu.error().c_str());
-      return 1;
-    }
-    const auto& bytes = cpu.output();
-    std::printf("%llu instructions retired; out() words:",
-                static_cast<unsigned long long>(cpu.retired()));
-    for (std::size_t i = 0; i + 3 < bytes.size(); i += 4) {
-      const std::uint32_t word =
-          static_cast<std::uint32_t>(bytes[i]) |
-          (static_cast<std::uint32_t>(bytes[i + 1]) << 8) |
-          (static_cast<std::uint32_t>(bytes[i + 2]) << 16) |
-          (static_cast<std::uint32_t>(bytes[i + 3]) << 24);
-      std::printf(" %u", word);
-    }
-    std::fputc('\n', stdout);
-  }
-  return 0;
-}
-
 int CmdConvert(const ces::ArgParser& args, MetricsEmitter& metrics) {
   const std::string in = args.GetString("trace", "");
   const std::string out = args.GetString("out", "");
@@ -737,7 +686,6 @@ int RunCommand(const std::string& command, const ces::ArgParser& args,
   if (command == "compare") return CmdCompare(args, metrics);
   if (command == "workload") return CmdWorkload(args);
   if (command == "convert") return CmdConvert(args, metrics);
-  if (command == "compile") return CmdCompile(args);
   return Usage();
 }
 
