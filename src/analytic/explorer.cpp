@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "analytic/bcat.hpp"
 #include "analytic/fast.hpp"
@@ -39,16 +41,35 @@ void RecordPreludeHistograms(const trace::StrippedTrace& stripped,
   }
   // Per-set load at the deepest explored depth: accesses and cold misses
   // (unique lines) per set, the paper's conflict structure at a glance.
-  const std::size_t sets = std::size_t{1} << max_index_bits;
-  const std::uint32_t mask = static_cast<std::uint32_t>(sets - 1);
-  std::vector<std::uint64_t> accesses(sets, 0);
-  std::vector<std::uint64_t> cold(sets, 0);
-  for (std::uint32_t id : stripped.ids) ++accesses[stripped.unique[id] & mask];
-  for (std::uint32_t address : stripped.unique) ++cold[address & mask];
-  for (std::size_t set = 0; set < sets; ++set) {
-    metrics->ObserveHistogram("explore.set_accesses", accesses[set]);
-    metrics->ObserveHistogram("explore.set_cold_misses", cold[set]);
+  // Only sets holding a unique line are non-empty, so those are grouped from
+  // the N' lines and every empty set joins one weighted observation of 0:
+  // the cost does not grow with the 2^max_index_bits sets.
+  const std::uint32_t mask =
+      max_index_bits >= 32 ? ~0u : (1u << max_index_bits) - 1;
+  std::vector<std::uint64_t> occurrences(stripped.unique_count(), 0);
+  for (std::uint32_t id : stripped.ids) ++occurrences[id];
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> lines;  // set, refs
+  lines.reserve(stripped.unique_count());
+  for (std::size_t id = 0; id < stripped.unique_count(); ++id) {
+    lines.emplace_back(stripped.unique[id] & mask, occurrences[id]);
   }
+  std::sort(lines.begin(), lines.end());
+  std::uint64_t occupied = 0;
+  for (std::size_t i = 0; i < lines.size();) {
+    std::uint64_t accesses = 0;
+    std::uint64_t cold = 0;
+    const std::uint32_t set = lines[i].first;
+    for (; i < lines.size() && lines[i].first == set; ++i) {
+      accesses += lines[i].second;
+      ++cold;
+    }
+    metrics->ObserveHistogram("explore.set_accesses", accesses);
+    metrics->ObserveHistogram("explore.set_cold_misses", cold);
+    ++occupied;
+  }
+  const std::uint64_t empty = (std::uint64_t{1} << max_index_bits) - occupied;
+  metrics->ObserveHistogram("explore.set_accesses", 0, empty);
+  metrics->ObserveHistogram("explore.set_cold_misses", 0, empty);
 }
 
 void ValidateLineWords(std::uint32_t line_words) {

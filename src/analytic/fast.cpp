@@ -51,14 +51,15 @@ struct IdMark {
 
 // Mutable per-lane scan state; lane c serves pool chunk c (lane 0 is the
 // calling thread, which also scans the root). Everything is sized in Setup()
-// and only reused afterwards.
+// and only reused afterwards. No lane touches another lane's state.
 struct LaneScratch {
   std::vector<Frame> frames;              // explicit DFS stack
   std::vector<std::uint32_t> mtf;         // move-to-front stack
   std::vector<std::uint64_t> bits;        // window marks, 64 slots a word
   std::vector<std::uint32_t> counts;      // count tree over the words
   std::vector<std::uint32_t> slot_ids;    // id placed in each window slot
-  std::uint32_t epoch = 0;                // last epoch this lane's DFS used
+  std::vector<IdMark> marks;              // per id; empty if unused
+  std::uint32_t epoch = 0;                // last epoch this lane stamped
 };
 
 // Scan cost model (docs/ALGORITHM.md has the measurements). A node's
@@ -183,18 +184,28 @@ class FusedTraversal {
   // Upper bound on any node's distinct count at `level`: a node there holds
   // the occurrences of the unique lines agreeing on the low `level` address
   // bits, so it cannot see more lines than the fullest residue class holds.
-  // Used to pre-size every histogram and scan buffer exactly once.
+  // Used to pre-size every histogram and scan buffer exactly once. Sorted
+  // by bit-reversed address, every residue class of every level is one run
+  // of lines, so this costs O(N' log N' + N' * levels), not O(2^max_bits).
   std::vector<std::size_t> MaxDistinctPerLevel() const {
+    std::vector<std::uint32_t> lines = unique_;
+    std::sort(lines.begin(), lines.end(), [](std::uint32_t a, std::uint32_t b) {
+      // a < b iff b holds the lowest bit in which the two differ.
+      const std::uint32_t differ = a ^ b;
+      return (b & differ & (0u - differ)) != 0;
+    });
     std::vector<std::size_t> caps(max_bits_ + 1, 0);
-    std::vector<std::size_t> counts;
-    for (std::uint32_t level = 0; level <= max_bits_; ++level) {
-      const std::uint32_t mask = level >= 32 ? ~0u : (1u << level) - 1;
-      counts.assign(std::size_t{1} << level, 0);
-      std::size_t max_count = 0;
-      for (std::uint32_t address : unique_) {
-        max_count = std::max(max_count, ++counts[address & mask]);
+    std::vector<std::size_t> start(max_bits_ + 1, 0);  // of the current run
+    for (std::size_t i = 1; i <= lines.size(); ++i) {
+      // Line i opens a new run at every level above the low bits it shares
+      // with line i - 1; past the last line, every run closes.
+      const auto from = static_cast<std::uint32_t>(
+          i == lines.size() ? 0
+                            : std::countr_zero(lines[i] ^ lines[i - 1]) + 1);
+      for (std::uint32_t level = from; level <= max_bits_; ++level) {
+        caps[level] = std::max(caps[level], i - start[level]);
+        start[level] = i;
       }
-      caps[level] = max_count;
     }
     return caps;
   }
@@ -217,7 +228,8 @@ class FusedTraversal {
   // Scratch for a lane whose nodes start at `level` or deeper. caps_ does
   // not grow with the level, so the shallowest level sizes everything: the
   // MTF stack only ever serves nodes the model sends to it (distinct <
-  // kFenwickMinDepth), the window only nodes it sends to Bennett-Kruskal.
+  // kFenwickMinDepth), the window and per-id records only nodes it sends to
+  // Bennett-Kruskal. The records cost 8 * N' bytes per such lane.
   void SizeLane(LaneScratch& lane, std::uint32_t level) {
     lane.frames.reserve(2 * (max_bits_ + 2));
     lane.mtf.reserve(std::min(caps_[level], kFenwickMinDepth));
@@ -227,7 +239,7 @@ class FusedTraversal {
       lane.bits.assign(window / 64, 0);
       lane.counts.assign(2 * window / 64, 0);
       lane.slot_ids.assign(window, 0);
-      if (marks_.empty()) marks_.assign(stripped_.unique_count(), IdMark{});
+      lane.marks.assign(stripped_.unique_count(), IdMark{});
     }
   }
 
@@ -275,11 +287,6 @@ class FusedTraversal {
     SizeLane(lanes_[0], 0);
     if (cut_ == 0) return;
 
-    // The root's scan overlaps the rest of the traversal, so it stamps
-    // records of its own: every id is the root's.
-    if (UseFenwick(root_)) {
-      root_marks_.assign(stripped_.unique_count(), IdMark{});
-    }
     // Lanes 1.. never see the root, so they are sized from level 1 — half
     // the deepest stack and window on a balanced trace.
     chunk_tallies_.resize(jobs - 1);
@@ -305,18 +312,11 @@ class FusedTraversal {
     return chunk == 0 ? main_ : chunk_tallies_[chunk - 1];
   }
 
-  // Scans one node with the scan the cost model picks, tallying distances
-  // >= 1 into `tallies`. Returns the node's distinct count. `epoch` must
-  // differ from every epoch another node stamped into `marks` for the same
-  // ids, which is what lets the Bennett-Kruskal scan trust the records
-  // without clearing them. Serially one lane numbers every node from 1. In
-  // parallel the root has records of its own, nodes above the cut take
-  // their queue position (below 2^(cut + 1)) as epoch, and each lane
-  // numbers the nodes from the cut down from 2^(cut + 1) on (concurrent
-  // subtrees hold disjoint ids).
+  // Scans one node with the scan the cost model picks on `lane`'s scratch,
+  // tallying distances >= 1 into `tallies`. Returns the node's distinct
+  // count.
   std::size_t ScanNode(const Frame& node, LaneScratch& lane,
-                       LevelTallies& tallies, IdMark* marks,
-                       std::uint32_t epoch) {
+                       LevelTallies& tallies) {
     std::vector<std::uint64_t>& hist = tallies.hist[node.level - tallies.base];
     std::uint64_t& counted = tallies.counted[node.level - tallies.base];
     const std::size_t len = node.end - node.begin;
@@ -325,7 +325,7 @@ class FusedTraversal {
     std::size_t distinct;
     if (UseFenwick(node)) {
       tallies.fenwick_refs += len;
-      distinct = ScanFenwick(node, lane, marks, epoch, hist, counted);
+      distinct = ScanFenwick(node, lane, hist, counted);
     } else {
       tallies.mtf_refs += len;
       distinct = ScanMtf(node, lane, hist, counted);
@@ -389,15 +389,15 @@ class FusedTraversal {
   // height log2(words): the loop trip count never depends on the data,
   // and on big_synth the root's bits and counts take 8 KiB, inside L1.
   //
-  // Per-id records use epoch stamping so nothing needs clearing between
-  // nodes; lanes share them because concurrently scanned nodes hold
-  // disjoint ids. The record load is random-access, so software prefetch
-  // covers it a few references ahead.
-  std::size_t ScanFenwick(const Frame& node, LaneScratch& lane, IdMark* marks,
-                          std::uint32_t epoch,
+  // Each node stamps its lane's own per-id records with a fresh lane epoch,
+  // so nothing needs clearing between nodes. The record load is
+  // random-access, so software prefetch covers it a few references ahead.
+  std::size_t ScanFenwick(const Frame& node, LaneScratch& lane,
                           std::vector<std::uint64_t>& hist,
                           std::uint64_t& counted) {
     constexpr std::size_t kIdAhead = 8;
+    IdMark* marks = lane.marks.data();
+    const std::uint32_t epoch = ++lane.epoch;
     const std::uint32_t* ids = Ids(node.level) + node.begin;
     const std::size_t len = node.end - node.begin;
     const std::size_t window = WindowSize(node.level, len);
@@ -525,8 +525,7 @@ class FusedTraversal {
     while (!lane.frames.empty()) {
       const Frame node = lane.frames.back();
       lane.frames.pop_back();
-      const std::size_t distinct =
-          ScanNode(node, lane, tallies, marks_.data(), ++lane.epoch);
+      const std::size_t distinct = ScanNode(node, lane, tallies);
       if (!Splits(node, distinct)) continue;
       const std::size_t mid = Split(node);
       if (mid < node.end) {
@@ -562,11 +561,9 @@ class FusedTraversal {
   void RunTasks(std::size_t chunk) {
     LaneScratch& lane = lanes_[chunk];
     LevelTallies& tallies = TalliesFor(chunk);
-    if (chunk == 0) ScanNode(root_, lane, tallies, root_marks_.data(), 1);
-    lane.epoch = std::uint32_t{2} << cut_;
+    if (chunk == 0) ScanNode(root_, lane, tallies);
     for (;;) {
       Frame node;
-      std::uint32_t epoch;
       {
         std::unique_lock<std::mutex> lock(queue_mutex_);
         queue_ready_.wait(lock, [this] {
@@ -574,13 +571,11 @@ class FusedTraversal {
         });
         if (queue_head_ == queue_tail_) return;
         node = queue_[queue_head_++];
-        epoch = static_cast<std::uint32_t>(queue_head_);
       }
       if (node.level == cut_) {
         Traverse(node, lane, tallies);
       } else {
-        QueueChildren(node,
-                      ScanNode(node, lane, tallies, marks_.data(), epoch));
+        QueueChildren(node, ScanNode(node, lane, tallies));
       }
       {
         std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -602,8 +597,6 @@ class FusedTraversal {
   std::vector<std::size_t> caps_;
   std::unique_ptr<std::uint32_t[]> ids_[2];
   std::unique_ptr<std::uint32_t[]> addrs_[2];  // SoA twin: unique_[id]
-  std::vector<IdMark> marks_;       // per id; empty if no node can use it
-  std::vector<IdMark> root_marks_;  // per id, for the root's scan
   LevelTallies main_;
   std::vector<LaneScratch> lanes_;
   std::vector<LevelTallies> chunk_tallies_;  // chunks 1..jobs-1

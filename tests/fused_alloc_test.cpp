@@ -7,6 +7,9 @@
 // build with, but the bound keeps the test honest rather than
 // stdlib-version-brittle).
 //
+// The same binary pins that a prelude build's memory does not grow with
+// 2^max_index_bits: the setup pre-sizes from the N' unique lines only.
+//
 // The counter lives in a replaced global operator new, which is why this
 // contract has its own binary: counting is only armed inside the traversal,
 // so gtest's own allocations never pollute the measurement.
@@ -18,6 +21,7 @@
 #include <new>
 #include <vector>
 
+#include "analytic/explorer.hpp"
 #include "analytic/fast.hpp"
 #include "support/metrics.hpp"
 #include "support/pool.hpp"
@@ -29,10 +33,12 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void* CountedAlloc(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
@@ -89,6 +95,30 @@ TEST(FusedAllocTest, ParallelTraversalAllocatesAtMostDispatchConstant) {
   const auto stripped = TestStripped();
   ces::support::ThreadPool pool(8);
   EXPECT_LE(CountTraversalAllocations(stripped, &pool), 16u);
+}
+
+// 12 references whose lines differ in bit 27, so the build explores
+// 2^28 sets. With a metrics registry, as the daemon passes on every cold
+// build, the prelude and its per-set histograms together stay far below
+// one byte per set.
+TEST(FusedAllocTest, PreludeBuildMemoryIsIndependentOfSetCount) {
+  ces::trace::Trace trace;
+  for (std::uint32_t address : {0u, 1u << 27, 5u, 0u, 9u, 1u << 27, 5u, 3u,
+                                (1u << 27) + 3, 9u, 0u, 3u}) {
+    trace.refs.push_back(address);
+  }
+  ces::support::MetricsRegistry metrics;
+  g_bytes.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  const ces::analytic::Explorer explorer(
+      trace, {.max_index_bits = 28, .jobs = 1, .metrics = &metrics});
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(explorer.max_index_bits(), 28u);
+  EXPECT_LE(g_bytes.load(std::memory_order_relaxed), std::uint64_t{1} << 20);
+  EXPECT_EQ(metrics.histogram("explore.set_accesses").count,
+            std::uint64_t{1} << 28);
+  EXPECT_EQ(metrics.histogram("explore.set_accesses").sum, 12u);
+  EXPECT_EQ(metrics.histogram("explore.set_cold_misses").sum, 6u);
 }
 
 }  // namespace

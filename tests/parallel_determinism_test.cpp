@@ -175,10 +175,15 @@ TEST(ParallelDeterminismTest, PerDepthPreludeMatchesFusedTraversal) {
 // the deterministic metrics surface (the explore.fused_* work counters and
 // their explore.scan_* split) must be byte-identical to the serial
 // traversal's — the cut level, task order and merge may never leak into
-// results. The scan-mix traces must also run both scans.
+// results. The scan-mix traces must also run both scans, and at least one
+// must scan more Bennett-Kruskal references than the trace holds: the root
+// scans each reference once, so that trace ran the scan below the root too.
+// There, at jobs 2 and 8, a node runs on whichever lane takes it, with that
+// lane's own per-id records.
 TEST(ParallelDeterminismTest, FusedSubtreeParallelDifferentialSweep) {
   ces::support::ThreadPool pool2(2);
   ces::support::ThreadPool pool8(8);
+  bool fenwick_below_root = false;
   for (const ces_test::SweepTrace& sweep : ces_test::FusedSweepTraces()) {
     SCOPED_TRACE(sweep.name);
     const auto stripped = ces::trace::Strip(sweep.trace);
@@ -208,12 +213,14 @@ TEST(ParallelDeterminismTest, FusedSubtreeParallelDifferentialSweep) {
         if (sweep.scan_mix) {
           EXPECT_GT(mtf, 0u);
           EXPECT_GT(fenwick, 0u);
+          fenwick_below_root |= fenwick > stripped.size();
         }
       } else {
         EXPECT_EQ(json, expected_metrics) << "jobs " << jobs;
       }
     }
   }
+  EXPECT_TRUE(fenwick_below_root);
 }
 
 // The deterministic metrics surface — counters AND histograms — must be
