@@ -123,14 +123,18 @@ std::uint32_t Cache::PickVictim(std::uint32_t set) {
   return 0;
 }
 
+// The std::find in both touches below always finds `way`: every order_ row
+// starts as a permutation of 0..assoc-1 (constructor; Reset rebuilds), and
+// std::rotate is the only write to a row, so it stays one; and `way` is
+// below assoc, whether it comes from Access's way loop or from PickVictim
+// (an invalid way's index, a row entry, a draw below assoc, or a PLRU leaf
+// minus assoc).
 void Cache::TouchOnHit(std::uint32_t set, std::uint32_t way) {
   // FIFO ignores hits; random keeps no state.
   if (config_.replacement == ReplacementPolicy::kLru) {
     const std::size_t base = static_cast<std::size_t>(set) * config_.assoc;
     auto begin = order_.begin() + static_cast<std::ptrdiff_t>(base);
-    auto end = begin + config_.assoc;
-    auto it = std::find(begin, end, way);
-    CES_DCHECK(it != end);
+    auto it = std::find(begin, begin + config_.assoc, way);
     std::rotate(begin, it, it + 1);
   } else if (config_.replacement == ReplacementPolicy::kPlru) {
     TouchOnFill(set, way);
@@ -143,9 +147,7 @@ void Cache::TouchOnFill(std::uint32_t set, std::uint32_t way) {
     case ReplacementPolicy::kLru:
     case ReplacementPolicy::kFifo: {
       auto begin = order_.begin() + static_cast<std::ptrdiff_t>(base);
-      auto end = begin + config_.assoc;
-      auto it = std::find(begin, end, way);
-      CES_DCHECK(it != end);
+      auto it = std::find(begin, begin + config_.assoc, way);
       std::rotate(begin, it, it + 1);
       break;
     }

@@ -8,14 +8,15 @@
 #include <tuple>
 #include <utility>
 
-#include "analytic/explorer.hpp"
 #include "cache/cache.hpp"
 #include "cache/energy.hpp"
+#include "cache/lru_sweep.hpp"
 #include "explore/pareto.hpp"
 #include "support/check.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
 #include "support/pool.hpp"
+#include "trace/strip.hpp"
 
 namespace ces::explore {
 
@@ -118,57 +119,6 @@ std::vector<CacheConfig> EnumerateL2(const JointSpace& space) {
   return configs;
 }
 
-// LRU stack profiles of one split stream, per line size: cold (= unique
-// lines, policy-independent for demand-fetch caches) plus warm misses at
-// every (depth, assoc) — exact for LRU, a floor otherwise.
-struct LevelProfiles {
-  struct PerLine {
-    std::vector<cache::StackProfile> profiles;  // index = index_bits
-    std::uint32_t max_index_bits = 0;
-    std::uint64_t cold = 0;
-  };
-  std::map<std::uint32_t, PerLine> by_line;
-
-  std::uint64_t Warm(std::uint32_t line, std::uint32_t depth,
-                     std::uint32_t assoc) const {
-    const PerLine& per = by_line.at(line);
-    const std::uint32_t bits =
-        std::min(cache::CeilLog2(depth), per.max_index_bits);
-    return per.profiles[bits].MissesAtAssoc(assoc);
-  }
-
-  // Lower bound on total misses: exact (cold + warm) when the level is LRU,
-  // the compulsory floor otherwise.
-  std::uint64_t MissesFloor(const CacheConfig& config, bool lru) const {
-    const PerLine& per = by_line.at(config.line_words);
-    if (!lru) return per.cold;
-    return per.cold + Warm(config.line_words, config.depth, config.assoc);
-  }
-};
-
-LevelProfiles::PerLine ProfileOneLine(const trace::Trace& stream,
-                                      std::uint32_t line,
-                                      std::uint32_t max_index_bits,
-                                      std::uint32_t jobs) {
-  LevelProfiles::PerLine per;
-  if (stream.refs.empty()) {
-    per.profiles.resize(1);
-    return per;
-  }
-  analytic::ExplorerOptions options;
-  options.line_words = line;
-  options.max_index_bits = std::max(1u, max_index_bits);
-  options.jobs = jobs;
-  const analytic::Explorer explorer(stream, options);
-  per.profiles = explorer.profiles();
-  for (cache::StackProfile& profile : per.profiles) {
-    profile.FinalizeSolveCache();
-  }
-  per.max_index_bits = explorer.max_index_bits();
-  per.cold = per.profiles.empty() ? 0 : per.profiles.front().cold;
-  return per;
-}
-
 // The accesses of one stream kind that can miss a write-back/allocate L1
 // with a given line size: the first access of every run of consecutive
 // same-line accesses of that kind (the other kind's accesses in between go
@@ -178,7 +128,7 @@ LevelProfiles::PerLine ProfileOneLine(const trace::Trace& stream,
 // alone, each carrying the OR of its run's write flags, reproduce every
 // miss, victim and write-back of the full stream.
 struct RunStarts {
-  trace::Trace stream;                   // run-start word addresses
+  std::vector<std::uint32_t> addrs;      // run-start word addresses
   std::vector<std::uint32_t> positions;  // their merged-stream positions
   std::vector<std::uint8_t> writes;      // OR of each run's write flags
 };
@@ -201,8 +151,6 @@ CollapsedStreams CollapseRuns(const trace::AccessSequence& accesses,
   }
   const std::uint32_t line_bits = cache::CeilLog2(line_words);
   CollapsedStreams runs;
-  runs.instr.stream.kind = trace::StreamKind::kInstruction;
-  runs.data.stream.kind = trace::StreamKind::kData;
   std::uint32_t last_line[2] = {0, 0};
   for (std::size_t p = 0; p < accesses.size(); ++p) {
     const trace::Access& access = accesses[p];
@@ -214,48 +162,34 @@ CollapsedStreams CollapseRuns(const trace::AccessSequence& accesses,
       continue;
     }
     last_line[instr] = line;
-    kind_runs.stream.refs.push_back(access.addr);
+    kind_runs.addrs.push_back(access.addr);
     kind_runs.positions.push_back(static_cast<std::uint32_t>(p));
     kind_runs.writes.push_back(access.is_write ? 1 : 0);
   }
   return runs;
 }
 
-// Floor profiles of one stream kind, one per L1 line size, over that line
-// size's collapsed stream. A collapsed repeat has stack distance 0 at every
-// depth, so only hist[0] is smaller than the full stream's: cold and every
-// MissesAtAssoc(A >= 1) are unchanged.
-LevelProfiles BuildProfiles(
-    const std::map<std::uint32_t, CollapsedStreams>& collapsed,
-    trace::StreamKind kind, std::uint32_t max_index_bits, std::uint32_t jobs) {
-  LevelProfiles profiles;
-  for (const auto& [line, runs] : collapsed) {
-    profiles.by_line.emplace(
-        line, ProfileOneLine(runs.Of(kind).stream, line, max_index_bits, jobs));
-  }
-  return profiles;
-}
-
 // What one L1 geometry does on its own stream kind: which merged positions
-// miss, and the dirty victim each write-back sends to the L2.
-struct L1Events {
-  std::vector<std::uint64_t> miss_bits;  // bit p set: merged access p misses
-  std::vector<std::pair<std::uint32_t, std::uint32_t>>
-      writebacks;  // (merged position, victim address), in position order
-  std::uint64_t misses = 0;
+// miss and the dirty victim each write-back sends to the L2, plus the lower
+// bound on its misses that the pruning layers read — the exact count for
+// LRU, the compulsory (cold) count for other policies.
+struct L1Result {
+  cache::MissEvents events;
+  std::uint64_t floor = 0;
 };
 
-L1Events SimulateL1(const CacheConfig& config, const RunStarts& runs,
+L1Result SimulateL1(const CacheConfig& config, const RunStarts& runs,
                     std::size_t n_accesses) {
   // The run collapse is exact only for write-back/allocate, the one L1
   // policy the joint space builds.
   CES_CHECK(config.write_policy == cache::WritePolicy::kWriteBackAllocate);
   cache::Cache l1(config);
-  L1Events events;
+  L1Result result;
+  cache::MissEvents& events = result.events;
   events.miss_bits.assign((n_accesses + 63) / 64, 0);
   for (std::size_t r = 0; r < runs.positions.size(); ++r) {
     cache::Eviction eviction;
-    if (l1.Access(runs.stream.refs[r], runs.writes[r] != 0, &eviction) ==
+    if (l1.Access(runs.addrs[r], runs.writes[r] != 0, &eviction) ==
         cache::AccessOutcome::kHit) {
       continue;
     }
@@ -266,33 +200,50 @@ L1Events SimulateL1(const CacheConfig& config, const RunStarts& runs,
     }
   }
   events.misses = l1.stats().misses;
-  return events;
+  result.floor = l1.stats().cold_misses;
+  return result;
 }
 
-// Everything one (L1I, L1D) pair yields: the per-level L1 counts and, via
-// one fused prelude per L2 line size over the pair's L2 stream, exact LRU L2
-// miss counts for EVERY L2 (depth, assoc) at once.
-struct PairOutcome {
-  std::uint64_t l1i_misses = 0;
-  std::uint64_t l1d_misses = 0;
-  std::uint64_t l1d_writebacks = 0;
-  std::map<std::uint32_t, LevelProfiles::PerLine> l2_by_line;
-};
+// Every associativity of one L1 (line, depth) on its stream kind's run
+// starts, ascending `assocs`. LRU takes one stack pass for the whole axis;
+// the other policies have no inclusion property, so each geometry is
+// simulated on its own.
+std::vector<L1Result> SweepL1(cache::ReplacementPolicy policy,
+                              std::uint32_t line, std::uint32_t depth,
+                              const std::vector<std::uint32_t>& assocs,
+                              const RunStarts& runs, std::size_t n_accesses) {
+  std::vector<L1Result> results(assocs.size());
+  if (policy == cache::ReplacementPolicy::kLru) {
+    std::vector<cache::MissEvents> events =
+        cache::LruEventsByAssoc(runs.addrs, runs.positions, runs.writes,
+                                n_accesses, line, depth, assocs);
+    for (std::size_t a = 0; a < assocs.size(); ++a) {
+      results[a].floor = events[a].misses;
+      results[a].events = std::move(events[a]);
+    }
+    return results;
+  }
+  for (std::size_t a = 0; a < assocs.size(); ++a) {
+    results[a] = SimulateL1(CacheConfig{depth, assocs[a], line, policy,
+                                        cache::WritePolicy::kWriteBackAllocate},
+                            runs, n_accesses);
+  }
+  return results;
+}
 
-PairOutcome EvaluatePair(const trace::AccessSequence& accesses,
-                         const L1Events& instr, const L1Events& data,
-                         const std::vector<std::uint32_t>& l2_lines,
-                         std::uint32_t l2_max_bits) {
-  // The L2 stream in cache::TwoLevelCache order: at every merged position
-  // that misses its L1, the refill, then the dirty victim's write-back. The
-  // two L1s' miss positions are disjoint (each position has one kind).
+// The L2 stream of one (L1I, L1D) pair in cache::TwoLevelCache order: at
+// every merged position that misses its L1, the refill, then the dirty
+// victim's write-back. The two L1s' miss positions are disjoint (each
+// position has one kind). It is independent of the L2 geometry.
+trace::Trace MergeL2Stream(const trace::AccessSequence& accesses,
+                           const cache::MissEvents& instr,
+                           const cache::MissEvents& data) {
   trace::Trace stream;
-  stream.kind = trace::StreamKind::kData;
   stream.refs.reserve(instr.misses + data.misses + instr.writebacks.size() +
-                      data.writebacks.size());
+                 data.writebacks.size());
   auto next_i = instr.writebacks.begin();
   auto next_d = data.writebacks.begin();
-  const auto push_writeback = [&](auto& next, const L1Events& events,
+  const auto push_writeback = [&](auto& next, const cache::MissEvents& events,
                                   std::uint32_t p) {
     if (next != events.writebacks.end() && next->first == p) {
       stream.refs.push_back((next++)->second);
@@ -308,17 +259,31 @@ PairOutcome EvaluatePair(const trace::AccessSequence& accesses,
       push_writeback(next_d, data, p);
     }
   }
+  return stream;
+}
 
-  PairOutcome outcome;
-  outcome.l1i_misses = instr.misses;
-  outcome.l1d_misses = data.misses;
-  outcome.l1d_writebacks = data.writebacks.size();
-  for (std::uint32_t line : l2_lines) {
-    // jobs = 1: pair evaluations are already fanned out across the pool.
-    outcome.l2_by_line.emplace(line,
-                               ProfileOneLine(stream, line, l2_max_bits, 1));
+// LRU misses (incl. cold) of each L2 of `l2s` on a pair's L2 stream. `l2s`
+// is in EnumerateL2 order, so each (line, depth) is a run of ascending
+// associativities and takes one stack pass.
+std::vector<std::uint64_t> L2Misses(const trace::Trace& stream,
+                                    const std::vector<CacheConfig>& l2s) {
+  std::vector<std::uint64_t> misses;
+  misses.reserve(l2s.size());
+  for (std::size_t begin = 0; begin < l2s.size();) {
+    const CacheConfig& first = l2s[begin];
+    std::vector<std::uint32_t> assocs;
+    std::size_t end = begin;
+    for (; end < l2s.size() && l2s[end].line_words == first.line_words &&
+           l2s[end].depth == first.depth;
+         ++end) {
+      assocs.push_back(l2s[end].assoc);
+    }
+    const std::vector<std::uint64_t> group = cache::LruMissesByAssoc(
+        stream.refs, first.line_words, first.depth, assocs);
+    misses.insert(misses.end(), group.begin(), group.end());
+    begin = end;
   }
-  return outcome;
+  return misses;
 }
 
 void FinishDerived(JointMetrics& metrics, const HierarchyConfig& config,
@@ -346,21 +311,18 @@ void FinishDerived(JointMetrics& metrics, const HierarchyConfig& config,
       10.0 * static_cast<double>(metrics.l2_misses);
 }
 
-JointMetrics ScoreConfig(const PairOutcome& outcome,
-                         const HierarchyConfig& config, std::uint64_t n_instr,
+JointMetrics ScoreConfig(const cache::MissEvents& instr,
+                         const cache::MissEvents& data,
+                         const HierarchyConfig& config,
+                         std::uint64_t l2_misses, std::uint64_t n_instr,
                          std::uint64_t n_data) {
   JointMetrics metrics;
-  metrics.l1i_misses = outcome.l1i_misses;
-  metrics.l1d_misses = outcome.l1d_misses;
-  metrics.l1d_writebacks = outcome.l1d_writebacks;
+  metrics.l1i_misses = instr.misses;
+  metrics.l1d_misses = data.misses;
+  metrics.l1d_writebacks = data.writebacks.size();
   metrics.l2_accesses =
-      outcome.l1i_misses + outcome.l1d_misses + outcome.l1d_writebacks;
-  const LevelProfiles::PerLine& per =
-      outcome.l2_by_line.at(config.l2.line_words);
-  const std::uint32_t bits =
-      std::min(config.l2.index_bits(), per.max_index_bits);
-  metrics.l2_misses = per.cold + per.profiles[bits].MissesAtAssoc(
-                                     config.l2.assoc);
+      metrics.l1i_misses + metrics.l1d_misses + metrics.l1d_writebacks;
+  metrics.l2_misses = l2_misses;
   FinishDerived(metrics, config, n_instr, n_data);
   return metrics;
 }
@@ -520,28 +482,105 @@ JointMetrics EvaluateJointConfig(const trace::AccessSequence& accesses,
     if (access.kind == trace::StreamKind::kInstruction) ++n_instr;
   }
   const CollapsedStreams runs = CollapseRuns(accesses, config.l1i.line_words);
-  const PairOutcome outcome = EvaluatePair(
-      accesses,
-      SimulateL1(config.l1i, runs.Of(trace::StreamKind::kInstruction),
-                 accesses.size()),
-      SimulateL1(config.l1d, runs.Of(trace::StreamKind::kData),
-                 accesses.size()),
-      {config.l2.line_words}, config.l2.index_bits());
-  return ScoreConfig(outcome, config, n_instr, accesses.size() - n_instr);
+  const auto l1 = [&](trace::StreamKind kind, const CacheConfig& c) {
+    return std::move(SweepL1(c.replacement, c.line_words, c.depth, {c.assoc},
+                             runs.Of(kind), accesses.size())
+                         .front()
+                         .events);
+  };
+  const cache::MissEvents instr = l1(trace::StreamKind::kInstruction,
+                                     config.l1i);
+  const cache::MissEvents data = l1(trace::StreamKind::kData, config.l1d);
+  const std::uint64_t l2_misses =
+      L2Misses(MergeL2Stream(accesses, instr, data), {config.l2}).front();
+  return ScoreConfig(instr, data, config, l2_misses, n_instr,
+                     accesses.size() - n_instr);
 }
 
 namespace {
 
+// The L1 results of every geometry the pairs use, keyed by (line, depth,
+// stream kind, assoc). With the kind inside the depth, consecutive tasks
+// alternate the long instruction stream and the short data stream, so each
+// of the pool's contiguous chunks gets a share of both.
+class L1Table {
+ public:
+  // Simulates every L1 geometry of `pairs` up front: an L1 is set by its own
+  // stream alone. One pool task per (kind, line, depth) for LRU — a stack
+  // pass covers every associativity — and one per geometry otherwise.
+  L1Table(const std::vector<Pair>& pairs, const JointSpace& space,
+          const std::map<std::uint32_t, CollapsedStreams>& collapsed,
+          std::size_t n_accesses, support::ThreadPool& pool) {
+    for (const Pair& pair : pairs) {
+      results_.try_emplace(MakeKey(trace::StreamKind::kInstruction, pair.l1i));
+      results_.try_emplace(MakeKey(trace::StreamKind::kData, pair.l1d));
+    }
+    struct Task {
+      trace::StreamKind kind;
+      std::uint32_t line;
+      std::uint32_t depth;
+      std::vector<std::uint32_t> assocs;  // ascending (map order)
+    };
+    const auto policy = [&](trace::StreamKind kind) {
+      return kind == trace::StreamKind::kInstruction ? space.l1i_policy
+                                                     : space.l1d_policy;
+    };
+    std::vector<Task> tasks;
+    for (const auto& [key, unused] : results_) {
+      const auto [line, depth, kind, assoc] = key;
+      const bool lru = policy(kind) == cache::ReplacementPolicy::kLru;
+      if (!lru || tasks.empty() || tasks.back().kind != kind ||
+          tasks.back().line != line || tasks.back().depth != depth) {
+        tasks.push_back(Task{kind, line, depth, {}});
+      }
+      tasks.back().assocs.push_back(assoc);
+    }
+    std::vector<std::vector<L1Result>> swept(tasks.size());
+    pool.ParallelFor(tasks.size(), [&](std::size_t t) {
+      const Task& task = tasks[t];
+      swept[t] = SweepL1(policy(task.kind), task.line, task.depth,
+                         task.assocs, collapsed.at(task.line).Of(task.kind),
+                         n_accesses);
+    });
+    auto slot = results_.begin();
+    for (std::vector<L1Result>& results : swept) {
+      for (L1Result& result : results) (slot++)->second = std::move(result);
+    }
+  }
+
+  std::size_t size() const { return results_.size(); }
+
+  const L1Result& Of(trace::StreamKind kind, const CacheConfig& l1) const {
+    return results_.at(MakeKey(kind, l1));
+  }
+  std::uint64_t Floor(trace::StreamKind kind, const CacheConfig& l1) const {
+    return Of(kind, l1).floor;
+  }
+  std::uint64_t PairFloor(const Pair& pair) const {
+    return Floor(trace::StreamKind::kInstruction, pair.l1i) +
+           Floor(trace::StreamKind::kData, pair.l1d);
+  }
+
+ private:
+  using Key = std::tuple<std::uint32_t, std::uint32_t, trace::StreamKind,
+                         std::uint32_t>;
+  static Key MakeKey(trace::StreamKind kind, const CacheConfig& l1) {
+    return Key{l1.line_words, l1.depth, kind, l1.assoc};
+  }
+
+  std::map<Key, L1Result> results_;
+};
+
 // Dimension-ordering seed scan (SimpleScalar-style): walk one axis at a
 // time — shared L1 line, L1I depth, L1I assoc, L1D depth, L1D assoc — from a
 // smallest-value base, visiting every value of the active axis while the
-// others stay put, then lock the active axis at the profile-estimated best
+// others stay put, then lock the active axis at the best miss floor
 // (ties to the smallest value) before scanning the next. Every visited pair
 // is a seed, so the incumbent front spans each axis's extremes before wave
 // pruning starts.
-std::vector<std::size_t> SeedPairIndices(
-    const JointSpace& space, const std::vector<Pair>& pairs,
-    const LevelProfiles& instr_profiles, const LevelProfiles& data_profiles) {
+std::vector<std::size_t> SeedPairIndices(const JointSpace& space,
+                                         const std::vector<Pair>& pairs,
+                                         const L1Table& l1) {
   std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
                       std::uint32_t, std::uint32_t>,
            std::size_t>
@@ -561,13 +600,6 @@ std::vector<std::size_t> SeedPairIndices(
     }
   }
   if (shared_lines.empty()) return {};
-
-  const bool l1i_lru = space.l1i_policy == cache::ReplacementPolicy::kLru;
-  const bool l1d_lru = space.l1d_policy == cache::ReplacementPolicy::kLru;
-  const auto score = [&](const Pair& pair) {
-    return instr_profiles.MissesFloor(pair.l1i, l1i_lru) +
-           data_profiles.MissesFloor(pair.l1d, l1d_lru);
-  };
 
   // cursor = (line, l1i depth, l1i assoc, l1d depth, l1d assoc)
   std::uint32_t cursor[5] = {shared_lines[0], space.l1i.depths[0],
@@ -590,7 +622,7 @@ std::vector<std::size_t> SeedPairIndices(
                                                  candidate[4]));
       if (it == index.end()) continue;  // axis value forms no valid pair
       seeds.push_back(it->second);
-      const std::uint64_t s = score(pairs[it->second]);
+      const std::uint64_t s = l1.PairFloor(pairs[it->second]);
       if (s < best_score) {  // ties keep the first (smallest) value
         best_score = s;
         best_value = value;
@@ -678,11 +710,6 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
   }
   const std::uint64_t n_data = accesses.size() - n_instr;
 
-  std::uint32_t l2_max_bits = 0;
-  for (std::uint32_t depth : space.l2.depths) {
-    l2_max_bits = std::max(l2_max_bits, cache::CeilLog2(depth));
-  }
-
   support::ThreadPool pool(jobs, options.metrics);
 
   // One run-collapsed stream pair per L1 line size in play.
@@ -694,15 +721,8 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
     }
   }
 
-  // L1 events per geometry (stream kind, line, depth, assoc). An L1 is set
-  // by its own stream alone, so each geometry is simulated at most once per
-  // call, just before the first batch that needs it.
-  using Geometry = std::tuple<trace::StreamKind, std::uint32_t, std::uint32_t,
-                              std::uint32_t>;
-  const auto geometry = [](trace::StreamKind kind, const CacheConfig& l1) {
-    return Geometry{kind, l1.line_words, l1.depth, l1.assoc};
-  };
-  std::map<Geometry, L1Events> l1_events;
+  const L1Table l1(pairs, space, collapsed, accesses.size(), pool);
+  result.l1_sims = l1.size();
 
   // Evaluates pairs[indices[s]] against its surviving L2 configurations.
   // Output slots are pre-sized and merged in index order, so the resulting
@@ -710,27 +730,6 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
   const auto evaluate = [&](const std::vector<std::size_t>& indices,
                             const std::vector<std::vector<std::uint32_t>>&
                                 surviving) {
-    // Geometries this batch needs and no earlier batch simulated. Map
-    // iterators stay valid while other nodes are added.
-    std::vector<std::pair<const CacheConfig*,
-                          std::map<Geometry, L1Events>::iterator>>
-        fresh;
-    const auto need = [&](trace::StreamKind kind, const CacheConfig& l1) {
-      const auto [it, inserted] = l1_events.try_emplace(geometry(kind, l1));
-      if (inserted) fresh.emplace_back(&l1, it);
-    };
-    for (std::size_t p : indices) {
-      need(trace::StreamKind::kInstruction, pairs[p].l1i);
-      need(trace::StreamKind::kData, pairs[p].l1d);
-    }
-    result.l1_sims += fresh.size();
-    pool.ParallelFor(fresh.size(), [&](std::size_t f) {
-      const auto& [l1, it] = fresh[f];
-      const trace::StreamKind kind = std::get<0>(it->first);
-      it->second = SimulateL1(*l1, collapsed.at(l1->line_words).Of(kind),
-                              accesses.size());
-    });
-
     // The compulsory L2 floor is the L2 cold count of the first evaluated
     // pair. Every distinct line's first touch misses its L1, and write-backs
     // only carry lines already refilled, so every pair's L2 stream holds
@@ -739,21 +738,28 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
     std::vector<std::vector<JointPoint>> slots(indices.size());
     pool.ParallelFor(indices.size(), [&](std::size_t s) {
       const Pair& pair = pairs[indices[s]];
-      const PairOutcome outcome = EvaluatePair(
-          accesses,
-          l1_events.at(geometry(trace::StreamKind::kInstruction, pair.l1i)),
-          l1_events.at(geometry(trace::StreamKind::kData, pair.l1d)),
-          space.l2.lines, l2_max_bits);
+      const cache::MissEvents& instr =
+          l1.Of(trace::StreamKind::kInstruction, pair.l1i).events;
+      const cache::MissEvents& data =
+          l1.Of(trace::StreamKind::kData, pair.l1d).events;
+      const trace::Trace stream = MergeL2Stream(accesses, instr, data);
       if (s == 0 && take_floor) {
-        for (const auto& [line, per] : outcome.l2_by_line) {
-          result.l2_floor.emplace(line, per.cold);
+        for (std::uint32_t line : space.l2.lines) {
+          result.l2_floor.emplace(
+              line,
+              trace::ComputeStats(trace::WithLineSize(stream, line)).n_unique);
         }
       }
-      slots[s].reserve(surviving[s].size());
-      for (std::uint32_t j : surviving[s]) {
-        const HierarchyConfig config{pair.l1i, pair.l1d, l2s[j]};
-        slots[s].push_back(
-            JointPoint{config, ScoreConfig(outcome, config, n_instr, n_data)});
+      std::vector<CacheConfig> configs;
+      configs.reserve(surviving[s].size());
+      for (std::uint32_t j : surviving[s]) configs.push_back(l2s[j]);
+      const std::vector<std::uint64_t> l2_misses = L2Misses(stream, configs);
+      slots[s].reserve(configs.size());
+      for (std::size_t k = 0; k < configs.size(); ++k) {
+        const HierarchyConfig config{pair.l1i, pair.l1d, configs[k]};
+        slots[s].push_back(JointPoint{
+            config,
+            ScoreConfig(instr, data, config, l2_misses[k], n_instr, n_data)});
       }
     });
     std::vector<JointPoint> points;
@@ -774,21 +780,6 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
   }
 
   // --- pruned exploration ---
-
-  // Split-stream LRU profiles: lower bounds for every L1 geometry (exact for
-  // LRU), shared by the seed heuristic, the associativity-threshold rule and
-  // the per-configuration bound.
-  std::uint32_t l1_max_bits = 0;
-  for (std::uint32_t depth : space.l1i.depths) {
-    l1_max_bits = std::max(l1_max_bits, cache::CeilLog2(depth));
-  }
-  for (std::uint32_t depth : space.l1d.depths) {
-    l1_max_bits = std::max(l1_max_bits, cache::CeilLog2(depth));
-  }
-  const LevelProfiles instr_profiles = BuildProfiles(
-      collapsed, trace::StreamKind::kInstruction, l1_max_bits, jobs);
-  const LevelProfiles data_profiles =
-      BuildProfiles(collapsed, trace::StreamKind::kData, l1_max_bits, jobs);
 
   const bool l1i_lru = space.l1i_policy == cache::ReplacementPolicy::kLru;
   const bool l1d_lru = space.l1d_policy == cache::ReplacementPolicy::kLru;
@@ -814,8 +805,8 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
                                    const std::vector<JointPoint>& front) {
     if (front.empty()) return false;
     JointMetrics bound;
-    bound.l1i_misses = instr_profiles.MissesFloor(pair.l1i, l1i_lru);
-    bound.l1d_misses = data_profiles.MissesFloor(pair.l1d, l1d_lru);
+    bound.l1i_misses = l1.Floor(trace::StreamKind::kInstruction, pair.l1i);
+    bound.l1d_misses = l1.Floor(trace::StreamKind::kData, pair.l1d);
     bound.l1d_writebacks = 0;
     bound.l2_accesses = bound.l1i_misses + bound.l1d_misses;
     bound.l2_misses = result.l2_floor.at(l2.line_words);
@@ -830,29 +821,39 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
   // Is some canonically-earlier pair with the same geometry but lower
   // associativity guaranteed the same per-level miss counts? Then this
   // pair's extra ways buy nothing and cost energy and latency on every L2:
-  // skip it without simulation.
+  // skip it without simulation. Under LRU the floors are exact miss counts,
+  // and at one (line, depth) equal misses mean equal warm misses. Every
+  // geometry read here is in the table: a lower associativity keeps a pair
+  // valid, so a kept pair uses it.
   const auto threshold_dominated = [&](const Pair& pair) {
     if (!threshold_ok) return false;
-    const std::uint32_t line = pair.l1i.line_words;
-    const std::uint64_t warm_i =
-        instr_profiles.Warm(line, pair.l1i.depth, pair.l1i.assoc);
-    const std::uint64_t warm_d =
-        data_profiles.Warm(line, pair.l1d.depth, pair.l1d.assoc);
+    const auto misses_at = [&](trace::StreamKind kind, CacheConfig geometry,
+                               std::uint32_t assoc) {
+      geometry.assoc = assoc;
+      return l1.Floor(kind, geometry);
+    };
+    const std::uint64_t misses_i =
+        l1.Floor(trace::StreamKind::kInstruction, pair.l1i);
+    const std::uint64_t misses_d = l1.Floor(trace::StreamKind::kData, pair.l1d);
     for (std::uint32_t ai : space.l1i.assocs) {
       if (ai > pair.l1i.assoc) break;
-      if (instr_profiles.Warm(line, pair.l1i.depth, ai) != warm_i) continue;
+      if (misses_at(trace::StreamKind::kInstruction, pair.l1i, ai) !=
+          misses_i) {
+        continue;
+      }
       for (std::uint32_t ad : space.l1d.assocs) {
         if (ad > pair.l1d.assoc) break;
         if (ai == pair.l1i.assoc && ad == pair.l1d.assoc) continue;
-        if (data_profiles.Warm(line, pair.l1d.depth, ad) != warm_d) continue;
+        if (misses_at(trace::StreamKind::kData, pair.l1d, ad) != misses_d) {
+          continue;
+        }
         return true;
       }
     }
     return false;
   };
 
-  const std::vector<std::size_t> seeds =
-      SeedPairIndices(space, pairs, instr_profiles, data_profiles);
+  const std::vector<std::size_t> seeds = SeedPairIndices(space, pairs, l1);
   result.seed_pairs = seeds.size();
 
   std::vector<char> decided(pairs.size(), 0);

@@ -15,23 +15,26 @@
 // and reduced to the Pareto front over those objectives (explore/pareto).
 //
 // The explorer does NOT simulate every configuration. An L1 is set by its
-// own stream alone, so each L1 geometry is simulated once per exploration,
-// over its stream kind's run-collapsed accesses (only the first access of a
-// run of same-line accesses can miss a write-back/allocate L1). For a fixed
+// own stream alone, so every L1 geometry is simulated once per exploration,
+// up front, over its stream kind's run-collapsed accesses (only the first
+// access of a run of same-line accesses can miss a write-back/allocate L1).
+// For LRU one pass of per-set LRU stacks per (kind, line, depth) decides
+// every associativity of the axis at once (cache/lru_sweep, by LRU
+// inclusion); other policies are simulated geometry by geometry. For a fixed
 // (L1I, L1D) pair the L2 reference stream is then fixed — independent of
 // the L2 geometry — and is merged from the two geometries' misses and
-// write-backs; one fused analytical prelude over it yields *exact* LRU L2
-// miss counts for every (depth, assoc) of the L2 axes at once. On top of
+// write-backs; one stack pass per L2 (line, depth) over it yields *exact*
+// LRU L2 miss counts for every associativity of the L2 axis. On top of
 // that, two pruning layers skip provably dominated configurations before
 // any evaluation:
 //
-//  * lower-bound dominance: per-level LRU miss counts from the split-trace
-//    preludes (exact for LRU L1s, cold-only for other policies) plus the
-//    distinct-line floor for the L2 give a component-wise lower bound on
-//    every objective; a configuration whose bound is strictly dominated by
-//    an already-evaluated point cannot be on the front;
+//  * lower-bound dominance: the L1 miss counts of that up-front table (exact
+//    for LRU L1s, the cold count for other policies) plus the distinct-line
+//    floor for the L2 give a component-wise lower bound on every objective;
+//    a configuration whose bound is strictly dominated by an
+//    already-evaluated point cannot be on the front;
 //  * Bender-style associativity thresholds: on write-free streams with LRU
-//    L1s, equal per-level warm miss counts at two associativities mean the
+//    L1s, equal per-level miss counts at two associativities mean the
 //    miss *events* — and therefore the L2 stream — are identical, so the
 //    higher-associativity pair is strictly dominated (higher access energy
 //    and latency, same misses) and is skipped without simulation.
@@ -164,7 +167,8 @@ struct JointResult {
   std::uint64_t pruned_pairs = 0;       // pairs skipped entirely
   std::uint64_t threshold_pruned_pairs = 0;  // via associativity thresholds
   std::uint64_t seed_pairs = 0;         // dimension-scan seeds
-  std::uint64_t l1_sims = 0;  // L1 geometries simulated (<= L1I + L1D axes)
+  std::uint64_t l1_sims = 0;  // L1 geometries of the valid pairs, each
+                              // simulated once (<= L1I + L1D axes)
   // Compulsory L2 misses per L2 line size: the merged stream's distinct L2
   // lines, the L2 floor of the lower-bound rule. Taken from the first
   // evaluated pair's L2 stream; empty when no pair was evaluated.
@@ -179,9 +183,9 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
                          const JointSpace& space, JointOptions options = {});
 
 // Scores one configuration through the same path the explorer uses (L1s
-// simulated functionally over the run-collapsed streams, L2 from the stack
-// profile of the merged L2 stream). Exposed for the simulator
-// cross-validation tests.
+// over the run-collapsed streams, by the LRU stack pass or cache::Cache;
+// the L2 by the LRU stack pass over the merged L2 stream). Exposed for the
+// simulator cross-validation tests.
 // Throws support::Error (kValidation) when the configuration is invalid.
 JointMetrics EvaluateJointConfig(const trace::AccessSequence& accesses,
                                  const cache::HierarchyConfig& config);
