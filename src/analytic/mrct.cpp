@@ -20,8 +20,10 @@ Mrct Mrct::Build(const trace::StrippedTrace& stripped) {
       stack.insert(stack.begin(), id);
       continue;
     }
+    // Found whenever is_first marks every first occurrence (see ScanSets in
+    // cache/stack.cpp): checked, since a hand-built StrippedTrace may not.
     const auto it = std::find(stack.begin(), stack.end(), id);
-    CES_DCHECK(it != stack.end());
+    CES_CHECK(it != stack.end());
     ConflictSet conflict(stack.begin(), it);
     std::sort(conflict.begin(), conflict.end());
     table.conflicts_[id].push_back(std::move(conflict));

@@ -111,8 +111,11 @@ void ScanSets(const trace::StrippedTrace& stripped, std::uint32_t mask,
       stack.insert(stack.begin(), id);
       continue;
     }
+    // Found whenever is_first marks every first occurrence, as Strip's
+    // output does. StrippedTrace is a plain struct any caller can fill, so
+    // this is checked rather than assumed: a miss would rotate past end().
     const auto it = std::find(stack.begin(), stack.end(), id);
-    CES_DCHECK(it != stack.end());
+    CES_CHECK(it != stack.end());
     const auto distance = static_cast<std::size_t>(it - stack.begin());
     if (distance >= profile.hist.size()) profile.hist.resize(distance + 1, 0);
     ++profile.hist[distance];

@@ -745,9 +745,8 @@ JointResult ExploreJoint(const trace::AccessSequence& accesses,
       const trace::Trace stream = MergeL2Stream(accesses, instr, data);
       if (s == 0 && take_floor) {
         for (std::uint32_t line : space.l2.lines) {
-          result.l2_floor.emplace(
-              line,
-              trace::ComputeStats(trace::WithLineSize(stream, line)).n_unique);
+          result.l2_floor.emplace(line,
+                                  trace::ComputeStats(stream, line).n_unique);
         }
       }
       std::vector<CacheConfig> configs;

@@ -4,6 +4,12 @@
 // rewrites the trace as a sequence of compact identifiers. Identifiers are
 // assigned in order of first appearance, 0-based (the paper numbers them from
 // 1 in its running example; reports add 1 when echoing the paper).
+//
+// Every entry point numbers lines with one flat id table (paper section 2.4:
+// a hash table makes stripping O(N)): open addressing over a power-of-two
+// array of (line, id) slots that doubles by rehash, with a fast path for a
+// reference to the same line as the one before it. The statistics passes
+// keep only that table, never an N-sized vector.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +38,8 @@ struct StrippedTrace {
 
 class TraceView;
 
-// Strips a trace with a hash table in O(N) expected time (the paper's
-// section 2.4 recommends exactly this over the N log N sort).
+// Strips a trace in O(N) expected time (the paper's section 2.4 recommends
+// a hash table over the N log N sort).
 StrippedTrace Strip(const Trace& trace);
 
 // Streaming strip over a TraceView: one bounded-chunk pass, never
@@ -50,13 +56,16 @@ struct TraceStats {
                                  // cache (the paper's normalisation constant)
 };
 
-TraceStats ComputeStats(const Trace& trace);
+// The statistics of the trace re-blocked to `line_words`-word lines, in one
+// pass with O(N') state (the id table) instead of the O(N) id/is_first
+// vectors a full strip carries: identical results to
+// ComputeStats(Strip(WithLineSize(trace, line_words))).
+TraceStats ComputeStats(const Trace& trace, std::uint32_t line_words = 1);
 TraceStats ComputeStats(const StrippedTrace& stripped);
 
-// Bounded-memory statistics over a TraceView: O(N') state (the unique-
-// reference table) instead of the O(N) id/is_first vectors a full strip
-// carries, so stats over an out-of-core trace keep the resident set flat.
-// Identical results to ComputeStats(Strip(view, line_words)).
+// The same pass over a TraceView, so stats over an out-of-core trace keep
+// the resident set flat. Identical results to
+// ComputeStats(Strip(view, line_words)).
 TraceStats ComputeStats(const TraceView& view, std::uint32_t line_words = 1);
 
 // Number of address bits that can actually vary across the unique references

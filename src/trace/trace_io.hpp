@@ -12,16 +12,21 @@
 // (and the offending line or byte offset) on malformed input — trailing
 // garbage on hex lines, addresses exceeding the declared address_bits,
 // unknown `kind` headers, header counts larger than the remaining stream,
-// truncated streams. They never over-allocate on attacker-controlled counts:
-// binary payloads are read incrementally with a capped pre-reservation.
+// truncated streams, bytes left over after a binary payload. They never
+// over-allocate on attacker-controlled counts: the binary readers take the
+// whole remaining stream in one buffer and check the declared count against
+// its real size before sizing the reference vector.
 //
 // Every reader takes an optional support::MetricsRegistry* and records
-// "trace.refs_parsed", "trace.lines_skipped", "trace.headers_ignored" (text)
-// and "trace.bytes_read" (binary); nullptr disables collection.
+// "trace.refs_parsed" (all formats) plus "trace.lines_skipped" and
+// "trace.headers_ignored" (text); nullptr disables collection.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "trace/trace.hpp"
 
@@ -37,9 +42,11 @@ Trace ReadText(std::istream& is,
                support::MetricsRegistry* metrics = nullptr);
 
 void WriteBinary(std::ostream& os, const Trace& trace);
-// Throws support::Error: kFormat (bad magic/version/kind), kUnsupported
-// (a CTRZ stream — use ReadCompressed or LoadFromFile), kValidation
-// (impossible header count or out-of-range reference), kTruncated.
+// Reads the rest of the stream, which must hold exactly one trace. Throws
+// support::Error: kFormat (bad magic/version/kind, or bytes after the
+// payload), kUnsupported (a CTRZ stream — use ReadCompressed or
+// LoadFromFile), kValidation (impossible header count or out-of-range
+// reference), kTruncated.
 Trace ReadBinary(std::istream& is,
                  support::MetricsRegistry* metrics = nullptr);
 
@@ -67,15 +74,65 @@ namespace internal {
 // count field. Unit-testable without allocating 2^32 references.
 std::uint32_t CheckedRefCount(std::size_t count, const char* context);
 
-// LEB128 varint and zigzag primitives of the CTRZ payload, shared with the
-// streaming compressor in trace_view.cpp. ReadVarint rejects encodings that
-// are overlong (a continuation chain past 10 bytes), overflowing (high bits
-// of the 10th byte that cannot fit a u64) or non-canonical (a most-
-// significant group of zero, i.e. two byte strings decoding to one value)
-// with kFormat; a stream ending mid-varint is kTruncated.
-std::uint64_t ZigZag(std::int64_t value);
-std::int64_t UnZigZag(std::uint64_t encoded);
-void WriteVarint(std::ostream& os, std::uint64_t value);
+// The 20-byte CTRC/CTRZ header: a 4-byte magic, then version, kind,
+// address_bits and count, each a little-endian u32.
+inline constexpr std::size_t kBinaryHeaderBytes = 20;
+inline constexpr char kRawMagic[4] = {'C', 'T', 'R', 'C'};
+inline constexpr char kCompressedMagic[4] = {'C', 'T', 'R', 'Z'};
+
+struct BinaryHeader {
+  StreamKind kind = StreamKind::kData;
+  std::uint32_t address_bits = 32;
+  std::uint32_t count = 0;
+};
+
+// Parses the fields after the magic of a CTRC/CTRZ header held in
+// bytes[0, size); the magic is the caller's to check, since each entry point
+// names the reader a foreign magic belongs to. Fields are checked in order,
+// so the first bad one is reported: kTruncated when `size` ends inside one,
+// kFormat for a version other than 1 or an unknown kind, kValidation for
+// address_bits outside [1, 32].
+BinaryHeader ParseBinaryHeader(const unsigned char* bytes, std::size_t size,
+                               const char* context);
+
+// Copies `n` little-endian u32 references from `src` to `out` and checks
+// each against `address_bits`; the first one that does not fit is
+// kValidation, named as reference `first` + its index.
+void DecodeRawRefs(const unsigned char* src, std::size_t n,
+                   std::uint32_t address_bits, std::uint64_t first,
+                   const char* context, std::uint32_t* out);
+
+// kFormat when a binary payload that should end at byte `end` of the stream
+// is followed by more bytes (the stream is `size` bytes long): a longer
+// count would have described a different trace, so the bytes are damage.
+void RejectTrailingBytes(std::uint64_t end, std::uint64_t size,
+                         const char* context);
+
+// The one CTRC/CTRZ encoder. The constructor writes the header for `count`
+// references; Append encodes references (LE u32 for CTRC, zigzag-encoded
+// deltas as LEB128 varints for CTRZ) into a local buffer that is handed to
+// the stream with os.write; Finish flushes the rest and checks that exactly
+// `count` references were appended. WriteBinary and both WriteCompressed
+// overloads are thin wrappers over it.
+class BinaryWriter {
+ public:
+  BinaryWriter(std::ostream& os, bool compressed, StreamKind kind,
+               std::uint32_t address_bits, std::uint64_t count);
+
+  void Append(const std::uint32_t* refs, std::size_t n);
+  void Finish();
+
+ private:
+  void Flush();
+
+  std::ostream& os_;
+  bool compressed_;
+  std::uint64_t count_;
+  std::uint64_t appended_ = 0;
+  std::uint32_t previous_ = 0;  // CTRZ delta base; ref[-1] = 0
+  std::vector<unsigned char> buffer_;
+  std::size_t used_ = 0;
+};
 
 }  // namespace internal
 

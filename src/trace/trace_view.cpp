@@ -22,31 +22,12 @@ namespace {
 using support::Error;
 using support::ErrorCategory;
 
-constexpr char kMagic[4] = {'C', 'T', 'R', 'C'};
-constexpr char kMagicCompressed[4] = {'C', 'T', 'R', 'Z'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 20;  // magic + version + kind + bits + count
+constexpr std::uint64_t kHeaderBytes = internal::kBinaryHeaderBytes;
 
 // Pages fully behind the read cursor are dropped in batches of this many
 // payload bytes — large enough that madvise overhead is noise, small enough
 // that the resident window stays well under any realistic memory cap.
 constexpr std::uint64_t kReleaseWindowBytes = std::uint64_t{4} << 20;
-
-std::uint32_t DecodeU32Le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void WriteU32Le(std::ostream& os, std::uint32_t value) {
-  const unsigned char bytes[4] = {
-      static_cast<unsigned char>(value & 0xff),
-      static_cast<unsigned char>((value >> 8) & 0xff),
-      static_cast<unsigned char>((value >> 16) & 0xff),
-      static_cast<unsigned char>((value >> 24) & 0xff)};
-  os.write(reinterpret_cast<const char*>(bytes), sizeof(bytes));
-}
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
@@ -96,45 +77,39 @@ MmapTraceView::MmapTraceView(const std::string& path,
     map_ = nullptr;
     throw Error(ErrorCategory::kIo, context, "mmap failed: " + path);
   }
-  const auto* bytes = static_cast<const unsigned char*>(map_);
-  if (std::memcmp(bytes, kMagicCompressed, sizeof(kMagicCompressed)) == 0) {
-    throw Error(ErrorCategory::kUnsupported, context,
-                "compressed (CTRZ) file; varints are not random-access — "
-                "use LoadFromFile",
-                Error::kNoLine, 0);
+  // A constructor that throws runs no destructor: unmap before rethrowing.
+  try {
+    const auto* bytes = static_cast<const unsigned char*>(map_);
+    if (std::memcmp(bytes, internal::kCompressedMagic, 4) == 0) {
+      throw Error(ErrorCategory::kUnsupported, context,
+                  "compressed (CTRZ) file; varints are not random-access — "
+                  "use LoadFromFile",
+                  Error::kNoLine, 0);
+    }
+    if (std::memcmp(bytes, internal::kRawMagic, 4) != 0) {
+      throw Error(ErrorCategory::kFormat, context, "bad magic (expected CTRC)",
+                  Error::kNoLine, 0);
+    }
+    const internal::BinaryHeader header =
+        internal::ParseBinaryHeader(bytes, map_len_, context);
+    kind_ = header.kind;
+    address_bits_ = header.address_bits;
+    count_ = header.count;
+    const std::uint64_t needed = kHeaderBytes + count_ * 4;
+    if (needed > file_size) {
+      throw Error(ErrorCategory::kValidation, context,
+                  "header count " + std::to_string(count_) + " needs >= " +
+                      std::to_string(needed - kHeaderBytes) +
+                      " payload bytes but only " +
+                      std::to_string(file_size - kHeaderBytes) + " remain");
+    }
+    internal::RejectTrailingBytes(needed, file_size, context);
+  } catch (...) {
+    ::munmap(map_, map_len_);
+    map_ = nullptr;
+    throw;
   }
-  if (std::memcmp(bytes, kMagic, sizeof(kMagic)) != 0) {
-    throw Error(ErrorCategory::kFormat, context, "bad magic (expected CTRC)",
-                Error::kNoLine, 0);
-  }
-  const std::uint32_t version = DecodeU32Le(bytes + 4);
-  if (version != kVersion) {
-    throw Error(ErrorCategory::kFormat, context,
-                "unsupported version " + std::to_string(version) +
-                    " (expected " + std::to_string(kVersion) + ")");
-  }
-  const std::uint32_t raw_kind = DecodeU32Le(bytes + 8);
-  if (raw_kind > static_cast<std::uint32_t>(StreamKind::kData)) {
-    throw Error(ErrorCategory::kFormat, context,
-                "unknown stream kind " + std::to_string(raw_kind));
-  }
-  kind_ = static_cast<StreamKind>(raw_kind);
-  address_bits_ = DecodeU32Le(bytes + 12);
-  if (address_bits_ == 0 || address_bits_ > 32) {
-    throw Error(ErrorCategory::kValidation, context,
-                "address_bits " + std::to_string(address_bits_) +
-                    " outside [1, 32]");
-  }
-  count_ = DecodeU32Le(bytes + 16);
-  const std::uint64_t needed = kHeaderBytes + count_ * 4;
-  if (needed > file_size) {
-    throw Error(ErrorCategory::kValidation, context,
-                "header count " + std::to_string(count_) + " needs >= " +
-                    std::to_string(needed - kHeaderBytes) +
-                    " payload bytes but only " +
-                    std::to_string(file_size - kHeaderBytes) + " remain");
-  }
-  payload_ = bytes + kHeaderBytes;
+  payload_ = static_cast<const unsigned char*>(map_) + kHeaderBytes;
 #ifdef POSIX_MADV_SEQUENTIAL
   ::posix_madvise(map_, map_len_, POSIX_MADV_SEQUENTIAL);
 #endif
@@ -153,16 +128,8 @@ std::size_t MmapTraceView::Read(std::uint64_t begin, std::uint32_t* out,
   if (begin >= count_) return 0;
   const std::size_t n =
       static_cast<std::size_t>(std::min<std::uint64_t>(max, count_ - begin));
-  const unsigned char* p = payload_ + begin * 4;
-  for (std::size_t i = 0; i < n; ++i, p += 4) {
-    const std::uint32_t ref = DecodeU32Le(p);
-    if (address_bits_ < 32 && (ref >> address_bits_) != 0) {
-      throw Error(ErrorCategory::kValidation, "trace-mmap",
-                  "reference " + std::to_string(begin + i) +
-                      " exceeds address_bits=" + std::to_string(address_bits_));
-    }
-    out[i] = ref;
-  }
+  internal::DecodeRawRefs(payload_ + begin * 4, n, address_bits_, begin,
+                          "trace-mmap", out);
   if (release_behind_) ReleaseBehind(begin + n);
   return n;
 }
@@ -192,7 +159,7 @@ std::unique_ptr<MmapTraceView> TryOpenMmap(
   if (!is) return nullptr;
   char magic[4];
   is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) return nullptr;
+  if (!is || std::memcmp(magic, internal::kRawMagic, 4) != 0) return nullptr;
   return std::make_unique<MmapTraceView>(path, metrics);
 }
 
@@ -221,22 +188,12 @@ Trace MaterializeTrace(const TraceView& view) {
 }
 
 void WriteCompressed(std::ostream& os, const TraceView& view) {
-  os.write(kMagicCompressed, sizeof(kMagicCompressed));
-  WriteU32Le(os, kVersion);
-  WriteU32Le(os, static_cast<std::uint32_t>(view.kind()));
-  WriteU32Le(os, view.address_bits());
-  WriteU32Le(os, internal::CheckedRefCount(
-                     static_cast<std::size_t>(view.size()),
-                     "trace-compressed"));
-  std::int64_t previous = 0;
-  view.ForEachChunk([&os, &previous](const std::uint32_t* refs,
-                                     std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto ref = static_cast<std::int64_t>(refs[i]);
-      internal::WriteVarint(os, internal::ZigZag(ref - previous));
-      previous = ref;
-    }
+  internal::BinaryWriter writer(os, /*compressed=*/true, view.kind(),
+                                view.address_bits(), view.size());
+  view.ForEachChunk([&writer](const std::uint32_t* refs, std::size_t n) {
+    writer.Append(refs, n);
   });
+  writer.Finish();
 }
 
 }  // namespace ces::trace

@@ -11,7 +11,8 @@
 //    every format the readers understand can be loaded behind it).
 //  * MmapTraceView — maps a raw binary CTRC file and decodes references
 //    straight out of the page cache. The header is validated up front
-//    (magic, version, kind, address_bits, count against the file size);
+//    (magic, version, kind, address_bits, count against the file size,
+//    which must match it exactly);
 //    payload pages are faulted in lazily as the scan advances and, for the
 //    default sequential pattern, *released* behind the read cursor
 //    (MADV_DONTNEED), so a full pass over a trace 10x larger than the
@@ -101,9 +102,10 @@ class MemoryTraceView final : public TraceView {
 // Memory-mapped CTRC file. Construction validates the header and maps the
 // payload read-only; references are decoded little-endian out of the
 // mapping, so the view is byte-order independent like the stream reader.
-// Throws support::Error — kIo (open/map failure), kFormat (bad magic or
-// version), kUnsupported (a CTRZ file; varints are not random-access),
-// kValidation (bad kind/address_bits, or a count larger than the file).
+// Throws support::Error — kIo (open/map failure), kFormat (bad magic,
+// version or kind, or bytes past the declared payload), kUnsupported (a
+// CTRZ file; varints are not random-access), kValidation (bad address_bits,
+// or a count larger than the file).
 class MmapTraceView final : public TraceView {
  public:
   explicit MmapTraceView(const std::string& path,
@@ -162,7 +164,8 @@ Trace MaterializeTrace(const TraceView& view);
 
 // Streams a view into the compressed CTRZ wire format (zigzag deltas as
 // LEB128 varints) without materialising the reference vector — the at-rest
-// codec of the ingest spill pipeline.
+// codec of the ingest spill pipeline. Byte-identical to WriteCompressed on
+// the materialised trace: both are internal::BinaryWriter.
 void WriteCompressed(std::ostream& os, const TraceView& view);
 
 }  // namespace ces::trace

@@ -162,6 +162,20 @@ std::vector<BinaryCase> BinaryCases() {
                      ErrorCategory::kValidation});
   }
   {
+    std::string bytes = Header("CTRC", 0, 32, 1);
+    AppendU32(bytes, 0x40);
+    bytes += "junk";  // no declared reference accounts for these
+    cases.push_back({"bytes after raw payload", bytes, false,
+                     ErrorCategory::kFormat});
+  }
+  {
+    std::string bytes = Header("CTRZ", 0, 32, 1);
+    bytes.push_back('\x02');  // +1, the one declared reference
+    bytes += "abc";
+    cases.push_back({"bytes after compressed payload", bytes, true,
+                     ErrorCategory::kFormat});
+  }
+  {
     std::string bytes = Header("CTRZ", 0, 32, 1);
     bytes.push_back('\x01');  // zigzag(-1): walks below address 0
     cases.push_back({"delta below zero", bytes, true, ErrorCategory::kRange});

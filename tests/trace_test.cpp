@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <sstream>
+#include <utility>
 
 #include "support/error.hpp"
 #include "support/metrics.hpp"
@@ -286,6 +289,52 @@ TEST(TraceIo, BinaryReportsTruncationAndBadVersion) {
   std::stringstream short_magic("CT");
   EXPECT_EQ(CategoryOf([&] { ReadBinary(short_magic); }),
             ErrorCategory::kTruncated);
+}
+
+TEST(TraceIo, BytesAfterThePayloadAreFormatDamageOnEveryPath) {
+  // A count that stops short of the bytes present would describe a
+  // different trace than the file holds, so the leftovers are rejected, by
+  // the stream readers and by LoadFromFile alike, with one category.
+  const Trace trace = PaperExampleTrace();
+  std::ostringstream raw;
+  WriteBinary(raw, trace);
+  std::ostringstream packed;
+  WriteCompressed(packed, trace);
+  const std::string raw_junk = raw.str() + "junk";
+  const std::string packed_junk = packed.str() + "abc";
+
+  std::istringstream raw_stream(raw_junk);
+  try {
+    ReadBinary(raw_stream);
+    FAIL() << "trailing bytes after a CTRC payload must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kFormat);
+    EXPECT_EQ(e.byte_offset(), raw.str().size());  // the first extra byte
+  }
+  std::istringstream packed_stream(packed_junk);
+  EXPECT_EQ(CategoryOf([&] { ReadCompressed(packed_stream); }),
+            ErrorCategory::kFormat);
+
+  const std::string dir = ::testing::TempDir();
+  for (const auto& [name, bytes] :
+       {std::pair<std::string, std::string>{"junk.ctr", raw_junk},
+        std::pair<std::string, std::string>{"junk.ctrz", packed_junk}}) {
+    const std::string path = dir + "/" + name;
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os << bytes;
+    }
+    EXPECT_EQ(CategoryOf([&] { LoadFromFile(path); }), ErrorCategory::kFormat)
+        << name;
+    std::remove(path.c_str());
+  }
+
+  // A CTRZ count one short of the varints present leaves the last one over.
+  std::string short_count = BinaryHeader("CTRZ", 0, 32, 1);
+  short_count += "\x02\x02";
+  std::istringstream short_stream(short_count);
+  EXPECT_EQ(CategoryOf([&] { ReadCompressed(short_stream); }),
+            ErrorCategory::kFormat);
 }
 
 TEST(TraceIo, CompressedMagicToRawReaderIsUnsupportedNotBadMagic) {

@@ -13,10 +13,13 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <streambuf>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -221,6 +224,9 @@ TEST(TraceView, CorruptFilesSurfaceTheStreamReadersCategories) {
   };
   std::string short_payload = CtrcBytes(0, 32, /*count=*/8);
   AppendU32(short_payload, 1);  // 1 of 8 declared refs present
+  std::string trailing = CtrcBytes(0, 32, /*count=*/1);
+  AppendU32(trailing, 7);
+  trailing += "junk";  // 4 bytes no declared reference accounts for
   const Case cases[] = {
       {"garbage magic", CtrcBytes(0, 32, 0, 1, "XXXX"),
        ErrorCategory::kFormat},
@@ -233,6 +239,7 @@ TEST(TraceView, CorruptFilesSurfaceTheStreamReadersCategories) {
       {"count overruns file", short_payload, ErrorCategory::kValidation},
       {"header cut short", std::string("CTRC\x01\x00", 6),
        ErrorCategory::kTruncated},
+      {"bytes after the payload", trailing, ErrorCategory::kFormat},
   };
   for (const auto& c : cases) {
     const std::string path = TempPath(".ctr");
@@ -304,6 +311,250 @@ TEST(TraceView, TryOpenFallsBackGracefullyByFormat) {
   std::remove(text_path.c_str());
   std::remove(packed_path.c_str());
   std::remove(ctrc_path.c_str());
+}
+
+// --- Differential: id table and codec --------------------------------------
+//
+// Every strip and statistics entry point shares one id table, so agreeing
+// with each other proves nothing on its own: each path is also checked
+// against an ordered-map oracle that numbers lines the obvious way.
+
+StrippedTrace OracleStrip(const Trace& trace, std::uint32_t line_words) {
+  std::uint32_t shift = 0;
+  while ((1u << shift) < line_words) ++shift;
+  StrippedTrace out;
+  out.address_bits =
+      trace.address_bits > shift ? trace.address_bits - shift : 1;
+  std::map<std::uint32_t, std::uint32_t> id_of;
+  for (const std::uint32_t ref : trace.refs) {
+    const std::uint32_t line = ref >> shift;
+    const auto found = id_of.find(line);
+    const bool cold = found == id_of.end();
+    const std::uint32_t id =
+        cold ? static_cast<std::uint32_t>(out.unique.size()) : found->second;
+    if (cold) {
+      id_of.emplace(line, id);
+      out.unique.push_back(line);
+    }
+    out.ids.push_back(id);
+    out.is_first.push_back(cold);
+  }
+  return out;
+}
+
+// The definition: warm positions whose id differs from the one before.
+TraceStats OracleStats(const StrippedTrace& stripped) {
+  TraceStats stats;
+  stats.n = stripped.ids.size();
+  stats.n_unique = stripped.unique.size();
+  for (std::size_t j = 1; j < stripped.ids.size(); ++j) {
+    if (!stripped.is_first[j] && stripped.ids[j] != stripped.ids[j - 1]) {
+      ++stats.max_misses;
+    }
+  }
+  return stats;
+}
+
+void ExpectSameStrip(const StrippedTrace& got, const StrippedTrace& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.unique, want.unique) << where;
+  EXPECT_EQ(got.ids, want.ids) << where;
+  EXPECT_EQ(got.is_first, want.is_first) << where;
+  EXPECT_EQ(got.address_bits, want.address_bits) << where;
+}
+
+void ExpectSameStats(const TraceStats& got, const TraceStats& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.n, want.n) << where;
+  EXPECT_EQ(got.n_unique, want.n_unique) << where;
+  EXPECT_EQ(got.max_misses, want.max_misses) << where;
+}
+
+Trace MakeTrace(std::vector<std::uint32_t> refs, std::uint32_t address_bits) {
+  Trace trace;
+  trace.refs = std::move(refs);
+  trace.address_bits = address_bits;
+  return trace;
+}
+
+// Seeded adversarial shapes for the id table, each a (name, trace) pair.
+std::vector<std::pair<std::string, Trace>> AdversarialTraces() {
+  ces::Rng rng(0xd1ff);
+  std::vector<std::pair<std::string, Trace>> traces;
+  traces.emplace_back("empty", MakeTrace({}, 32));
+  // Address 0 first: a same-line fast path that fires before any line was
+  // seen would hand it a stale id instead of numbering it.
+  traces.emplace_back(
+      "extremes",
+      MakeTrace({0, 0xffffffffu, 0, 0xffffffffu, 0xffffffffu, 0, 1,
+                  0xfffffffeu, 0x80000000u, 0x7fffffffu, 0},
+                 32));
+  {
+    std::vector<std::uint32_t> bits1(3000);
+    for (auto& ref : bits1) ref = static_cast<std::uint32_t>(rng.Next() & 1);
+    traces.emplace_back("address_bits 1", MakeTrace(std::move(bits1), 1));
+  }
+  {
+    // 40k distinct lines: the table doubles from 256 slots past 64k.
+    // Strided addresses vary in their high bits, shuffled ones everywhere.
+    std::vector<std::uint32_t> strided(40000);
+    for (std::uint32_t i = 0; i < strided.size(); ++i) strided[i] = i << 16;
+    traces.emplace_back("all distinct, strided",
+                        MakeTrace(strided, 32));
+    std::vector<std::uint32_t> shuffled(40000);
+    for (std::uint32_t i = 0; i < shuffled.size(); ++i) {
+      shuffled[i] = i * 0x9e3779b1u;
+    }
+    for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+      std::swap(shuffled[i], shuffled[rng.NextBounded(i + 1)]);
+    }
+    // ...and then every line again, so lookups after the rehashes count.
+    std::vector<std::uint32_t> twice = shuffled;
+    twice.insert(twice.end(), shuffled.rbegin(), shuffled.rend());
+    traces.emplace_back("all distinct, revisited",
+                        MakeTrace(std::move(twice), 32));
+  }
+  traces.emplace_back("one hot line",
+                      MakeTrace(std::vector<std::uint32_t>(5000, 0x1234), 32));
+  {
+    std::vector<std::uint32_t> alternating(5000);
+    for (std::size_t i = 0; i < alternating.size(); ++i) {
+      alternating[i] = i % 2 == 0 ? 0x40 : 0x47;  // one line at 8 words
+    }
+    traces.emplace_back("two alternating lines",
+                        MakeTrace(std::move(alternating), 32));
+  }
+  for (const std::uint32_t hot : {4u, 96u, 700u}) {
+    Trace mix = LocalityMix(rng, hot, 4 * hot, 20000);
+    traces.emplace_back("locality mix " + std::to_string(hot),
+                        std::move(mix));
+  }
+  return traces;
+}
+
+TEST(Differential, StripAndStatsAgreeAcrossPathsAndWithAnOracle) {
+  for (const auto& [name, trace] : AdversarialTraces()) {
+    const std::string path = SaveCtrc(trace);
+    const MmapTraceView mapped(path);
+    const MemoryTraceView in_memory(std::make_shared<const Trace>(trace));
+    for (const std::uint32_t line_words : {1u, 2u, 4u, 8u}) {
+      const std::string where =
+          name + " at " + std::to_string(line_words) + " words/line";
+      const StrippedTrace want = OracleStrip(trace, line_words);
+      const TraceStats want_stats = OracleStats(want);
+      const StrippedTrace direct =
+          line_words == 1 ? Strip(trace)
+                          : Strip(WithLineSize(trace, line_words));
+      ExpectSameStrip(direct, want, where + ", Strip(Trace)");
+      ExpectSameStrip(Strip(in_memory, line_words), want,
+                      where + ", Strip(MemoryTraceView)");
+      ExpectSameStrip(Strip(mapped, line_words), want,
+                      where + ", Strip(MmapTraceView)");
+      ExpectSameStats(ComputeStats(direct), want_stats,
+                      where + ", ComputeStats(StrippedTrace)");
+      ExpectSameStats(ComputeStats(trace, line_words), want_stats,
+                      where + ", ComputeStats(Trace)");
+      ExpectSameStats(ComputeStats(in_memory, line_words), want_stats,
+                      where + ", ComputeStats(MemoryTraceView)");
+      ExpectSameStats(ComputeStats(mapped, line_words), want_stats,
+                      where + ", ComputeStats(MmapTraceView)");
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// A stream that cannot seek and hands out its bytes a few at a time, like a
+// pipe: the readers must not depend on knowing the length up front.
+class PipeBuf final : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (at_ >= bytes_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(7, bytes_.size() - at_);
+    char* begin = bytes_.data() + at_;
+    setg(begin, begin, begin + n);
+    at_ += n;
+    return traits_type::to_int_type(*begin);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t at_ = 0;
+};
+
+Trace ReadPiped(const std::string& bytes, bool compressed) {
+  PipeBuf buf(bytes);
+  std::istream is(&buf);
+  return compressed ? ReadCompressed(is) : ReadBinary(is);
+}
+
+TEST(Differential, CodecRoundTripsOnSeekableAndNonSeekableStreams) {
+  std::vector<std::pair<std::string, Trace>> traces = AdversarialTraces();
+  // Every delta of ±(2^32 - 1), the widest a CTRZ varint carries (5 bytes).
+  traces.emplace_back("extreme deltas",
+                      MakeTrace({0xffffffffu, 0, 0xffffffffu, 0}, 32));
+  for (auto& [name, trace] : traces) {
+    trace.kind = StreamKind::kInstruction;
+    for (const bool compressed : {false, true}) {
+      const std::string where =
+          name + (compressed ? " as CTRZ" : " as CTRC");
+      std::ostringstream encoded;
+      if (compressed) {
+        WriteCompressed(encoded, trace);
+      } else {
+        WriteBinary(encoded, trace);
+      }
+      std::istringstream seekable(encoded.str());
+      const Trace loaded =
+          compressed ? ReadCompressed(seekable) : ReadBinary(seekable);
+      EXPECT_EQ(loaded.refs, trace.refs) << where;
+      EXPECT_EQ(loaded.address_bits, trace.address_bits) << where;
+      EXPECT_EQ(loaded.kind, trace.kind) << where;
+      const Trace piped = ReadPiped(encoded.str(), compressed);
+      EXPECT_EQ(piped.refs, trace.refs) << where << " (non-seekable)";
+      EXPECT_EQ(piped.address_bits, trace.address_bits) << where;
+    }
+    // The streaming encoder over a view writes the same bytes.
+    std::ostringstream from_trace;
+    WriteCompressed(from_trace, trace);
+    std::ostringstream from_view;
+    WriteCompressed(from_view,
+                    MemoryTraceView(std::make_shared<const Trace>(trace)));
+    EXPECT_EQ(from_view.str(), from_trace.str()) << name;
+  }
+  {
+    // Each extreme delta is a 5-byte varint: 20 header + 4 * 5 bytes.
+    std::ostringstream encoded;
+    WriteCompressed(encoded, MakeTrace({0xffffffffu, 0, 0xffffffffu, 0}, 32));
+    EXPECT_EQ(encoded.str().size(), 40u);
+  }
+
+  // A lying header count is rejected by the real stream length, seekable
+  // or not, before the reference vector is sized for it.
+  std::string raw_lie = CtrcBytes(0, 32, 0xffffffffu);
+  AppendU32(raw_lie, 1);
+  AppendU32(raw_lie, 2);
+  std::string packed_lie = CtrcBytes(0, 32, 0xfffffff0u, 1, "CTRZ");
+  packed_lie += '\x02';
+  for (const bool compressed : {false, true}) {
+    const std::string& bytes = compressed ? packed_lie : raw_lie;
+    try {
+      ReadPiped(bytes, compressed);
+      ADD_FAILURE() << "a lying count must not parse";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kValidation) << e.what();
+      EXPECT_NE(std::string(e.what()).find("header count"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Bytes after the payload are damage on a pipe too.
+  std::string trailing = CtrcBytes(0, 32, 1, 1, "CTRZ");
+  trailing += "\x02\x02";
+  EXPECT_EQ(CategoryOf([&] { ReadPiped(trailing, true); }),
+            ErrorCategory::kFormat);
 }
 
 TEST(TraceView, OutOfCorePassKeepsResidentSetFlat) {
