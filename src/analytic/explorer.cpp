@@ -99,9 +99,7 @@ Explorer::Explorer(const trace::Trace& trace, ExplorerOptions options)
   support::ScopedTraceSpan prelude_span("explore.prelude");
   const trace::StrippedTrace stripped = [&] {
     support::ScopedTraceSpan span("explore.strip");
-    return options.line_words == 1
-               ? trace::Strip(trace)
-               : trace::Strip(trace::WithLineSize(trace, options.line_words));
+    return trace::Strip(trace, options.line_words);
   }();
   BuildPrelude(stripped, options);
   prelude_seconds_ = watch.ElapsedSeconds();

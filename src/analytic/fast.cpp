@@ -6,8 +6,10 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
+#include "analytic/collapse.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/pool.hpp"
@@ -78,17 +80,33 @@ constexpr std::size_t kFenwickMinDepth = 128;
 // the tree deeper, into more and smaller tasks (docs/PARALLEL.md).
 constexpr std::uint64_t kOverpartition = 4;
 
+// The root's entries: the stripped ids themselves, or their tandem-repeat
+// collapse (analytic/collapse.hpp), whose entry i stands for weights[i]
+// references.
+struct RootEntries {
+  const std::uint32_t* ids;
+  const std::uint32_t* weights;  // null: every entry has weight 1
+  std::size_t size;
+};
+
+// kWeighted selects the instantiation over a collapsed root: every tally
+// adds its entry's weight, and Split permutes a weight lane beside the id
+// and address lanes. The unweighted instantiation is the per-reference
+// traversal, instruction for instruction.
+template <bool kWeighted>
 class FusedTraversal {
  public:
-  FusedTraversal(const trace::StrippedTrace& stripped,
+  FusedTraversal(const trace::StrippedTrace& stripped, RootEntries root,
                  std::uint32_t max_index_bits,
                  const FusedPreludeOptions& options)
       : stripped_(stripped),
         unique_(stripped.unique),
+        root_ids_(root.ids),
+        root_weights_(root.weights),
         max_bits_(max_index_bits),
         options_(options),
         kernels_(support::simd::ActiveKernels()),
-        root_{0, 0, stripped.size(), stripped.unique_count()} {}
+        root_{0, 0, root.size, stripped.unique_count()} {}
 
   std::vector<cache::StackProfile> Run() {
     std::vector<cache::StackProfile> profiles(max_bits_ + 1);
@@ -97,7 +115,7 @@ class FusedTraversal {
       profiles[level].cold = stripped_.unique_count();
       profiles[level].hist.resize(1, 0);
     }
-    if (stripped_.size() == 0) {
+    if (root_.end == 0) {
       if (options_.after_setup) options_.after_setup();
       return profiles;
     }
@@ -160,6 +178,8 @@ class FusedTraversal {
     if (options_.metrics != nullptr) {
       // Guarded so a null registry costs no name-string construction — the
       // allocation test runs the whole of Run() under its counter.
+      // Entries the root scans: the collapsed length, or N uncollapsed.
+      options_.metrics->Add("explore.collapsed_refs", root_.end);
       options_.metrics->Add("explore.fused_nodes", main_.nodes);
       options_.metrics->Add("explore.fused_refs", main_.refs);
       // The scan choice reads no pool-dependent input, so the split is
@@ -234,7 +254,7 @@ class FusedTraversal {
     lane.frames.reserve(2 * (max_bits_ + 2));
     lane.mtf.reserve(std::min(caps_[level], kFenwickMinDepth));
     if (caps_[level] >= kFenwickMinDepth) {
-      const std::size_t window = WindowSize(level, stripped_.size());
+      const std::size_t window = WindowSize(level, root_.end);
       CES_CHECK(window <= (std::size_t{1} << 32));  // slots are 32-bit
       lane.bits.assign(window / 64, 0);
       lane.counts.assign(2 * window / 64, 0);
@@ -244,7 +264,7 @@ class FusedTraversal {
   }
 
   void Setup() {
-    const std::size_t n = stripped_.size();
+    const std::size_t n = root_.end;
     const unsigned jobs = options_.pool == nullptr ? 1 : options_.pool->jobs();
     if (jobs > 1 && max_bits_ > 0) {
       const std::uint64_t want = std::uint64_t{jobs} * kOverpartition;
@@ -253,11 +273,16 @@ class FusedTraversal {
 
     caps_ = MaxDistinctPerLevel();
     // Ping-pong id buffers: level L >= 1 lives in ids_[L & 1]; the root
-    // reads the stripped trace itself, which nothing ever overwrites. Every
-    // element is written by a partition before any scan reads it, so the
-    // buffers start uninitialised.
+    // reads its entries where they are, and nothing ever overwrites them.
+    // Every element is written by a partition before any scan reads it, so
+    // the buffers start uninitialised. The weight lane, when there is one,
+    // follows the same rule.
     ids_[0] = std::make_unique_for_overwrite<std::uint32_t[]>(n);
     ids_[1] = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+    if constexpr (kWeighted) {
+      weights_[0] = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+      weights_[1] = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+    }
     // SoA address lanes mirroring the ids: addrs_[L & 1][i] ==
     // unique_[Ids(L)[i]] holds at every point of the traversal because the
     // partition permutes both lanes identically. The split-bit count and the
@@ -266,13 +291,12 @@ class FusedTraversal {
     addrs_[0] = std::make_unique_for_overwrite<std::uint32_t[]>(n);
     addrs_[1] = std::make_unique_for_overwrite<std::uint32_t[]>(n);
     if (stripped_.unique_count() < (std::uint64_t{1} << 31)) {
-      kernels_.gather(stripped_.ids.data(), n, unique_.data(),
-                      addrs_[0].get());
+      kernels_.gather(root_ids_, n, unique_.data(), addrs_[0].get());
     } else {
       // vpgatherdd indices are signed, so an id >= 2^31 would wrap; fill
       // the lane scalar for such traces instead of corrupting it.
       for (std::size_t i = 0; i < n; ++i) {
-        addrs_[0][i] = unique_[stripped_.ids[i]];
+        addrs_[0][i] = unique_[root_ids_[i]];
       }
     }
 
@@ -305,7 +329,11 @@ class FusedTraversal {
   }
 
   const std::uint32_t* Ids(std::uint32_t level) const {
-    return level == 0 ? stripped_.ids.data() : ids_[level & 1].get();
+    return level == 0 ? root_ids_ : ids_[level & 1].get();
+  }
+
+  const std::uint32_t* Weights(std::uint32_t level) const {
+    return level == 0 ? root_weights_ : weights_[level & 1].get();
   }
 
   LevelTallies& TalliesFor(std::size_t chunk) {
@@ -350,6 +378,7 @@ class FusedTraversal {
                       std::vector<std::uint64_t>& hist,
                       std::uint64_t& counted) {
     const std::uint32_t* ids = Ids(node.level);
+    [[maybe_unused]] const std::uint32_t* weights = Weights(node.level);
     std::vector<std::uint32_t>& stack = lane.mtf;
     stack.clear();
     for (std::size_t i = node.begin; i < node.end; ++i) {
@@ -370,8 +399,10 @@ class FusedTraversal {
         continue;
       }
       if (distance >= 1) {
-        ++hist[distance];
-        ++counted;
+        // A collapsed entry's references all share its distance.
+        const std::uint32_t weight = kWeighted ? weights[i] : 1u;
+        hist[distance] += weight;
+        counted += weight;
       }
     }
     return stack.size();
@@ -399,6 +430,8 @@ class FusedTraversal {
     IdMark* marks = lane.marks.data();
     const std::uint32_t epoch = ++lane.epoch;
     const std::uint32_t* ids = Ids(node.level) + node.begin;
+    [[maybe_unused]] const std::uint32_t* weights =
+        kWeighted ? Weights(node.level) + node.begin : nullptr;
     const std::size_t len = node.end - node.begin;
     const std::size_t window = WindowSize(node.level, len);
     const std::size_t words = window / 64;
@@ -435,8 +468,9 @@ class FusedTraversal {
           k >>= 1;
         }
         if (distance >= 1) {
-          ++hist[distance];
-          ++counted;
+          const std::uint32_t weight = kWeighted ? weights[pos] : 1u;
+          hist[distance] += weight;
+          counted += weight;
         }
       } else {
         mark.epoch = epoch;
@@ -508,6 +542,20 @@ class FusedTraversal {
         Ids(node.level) + node.begin, addrs, len, node.level,
         ids_[twin].get() + node.begin, addrs_[twin].get() + node.begin,
         ids_[twin].get() + mid, addrs_[twin].get() + mid);
+    if constexpr (kWeighted) {
+      // The same stable partition for the weight lane, scalar: the bit
+      // selects the run by pointer, not by branch, and no store leaves the
+      // two runs.
+      const std::uint32_t* weights = Weights(node.level) + node.begin;
+      std::uint32_t* left = weights_[twin].get() + node.begin;
+      std::uint32_t* right = weights_[twin].get() + mid;
+      for (std::size_t t = 0; t < len; ++t) {
+        const std::uint32_t bit = (addrs[t] >> node.level) & 1u;
+        *(bit != 0 ? right : left) = weights[t];
+        left += bit ^ 1u;
+        right += bit;
+      }
+    }
     return mid;
   }
 
@@ -588,6 +636,8 @@ class FusedTraversal {
 
   const trace::StrippedTrace& stripped_;
   const std::vector<std::uint32_t>& unique_;
+  const std::uint32_t* const root_ids_;
+  const std::uint32_t* const root_weights_;
   const std::uint32_t max_bits_;
   const FusedPreludeOptions& options_;
   const support::simd::Kernels& kernels_;
@@ -597,6 +647,7 @@ class FusedTraversal {
   std::vector<std::size_t> caps_;
   std::unique_ptr<std::uint32_t[]> ids_[2];
   std::unique_ptr<std::uint32_t[]> addrs_[2];  // SoA twin: unique_[id]
+  std::unique_ptr<std::uint32_t[]> weights_[2];  // kWeighted only
   LevelTallies main_;
   std::vector<LaneScratch> lanes_;
   std::vector<LevelTallies> chunk_tallies_;  // chunks 1..jobs-1
@@ -615,7 +666,26 @@ class FusedTraversal {
 std::vector<cache::StackProfile> ComputeMissProfilesFused(
     const trace::StrippedTrace& stripped, std::uint32_t max_index_bits,
     const FusedPreludeOptions& options) {
-  return FusedTraversal(stripped, max_index_bits, options).Run();
+  const std::size_t n = stripped.size();
+  // The collapsed entries live only as long as the traversal that reads
+  // them. Weights are 32-bit, and one entry can stand for every reference.
+  std::optional<WeightedIds> collapsed;
+  if (n <= 0xffffffffu && options.collapse != CollapseMode::kNever) {
+    const std::uint32_t* ids = stripped.ids.data();
+    collapsed = options.collapse == CollapseMode::kAlways
+                    ? CollapseRepeats(ids, n, stripped.unique_count())
+                    : CollapseIfWorthwhile(ids, n, stripped.unique_count());
+  }
+  if (!collapsed) {
+    return FusedTraversal<false>(stripped, {stripped.ids.data(), nullptr, n},
+                                 max_index_bits, options)
+        .Run();
+  }
+  return FusedTraversal<true>(stripped,
+                              {collapsed->ids.data(), collapsed->weights.data(),
+                               collapsed->size()},
+                              max_index_bits, options)
+      .Run();
 }
 
 }  // namespace ces::analytic

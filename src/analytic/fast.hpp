@@ -54,16 +54,25 @@ class ThreadPool;
 
 namespace ces::analytic {
 
+// Whether the traversal runs over the tandem-repeat collapse of the trace
+// (analytic/collapse.hpp). kCostModel — the only mode production code uses —
+// collapses when a sampled prefix shrinks to at most a third of its length;
+// the forced modes exist for tests and benches. The profiles are identical
+// in every mode.
+enum class CollapseMode : std::uint8_t { kCostModel, kAlways, kNever };
+
 struct FusedPreludeOptions {
   // Worker pool for the node tasks. Null (or a one-job pool) selects the
   // single-threaded whole-tree traversal; the histograms are byte-identical
   // either way.
   support::ThreadPool* pool = nullptr;
   // When provided, records the deterministic work counters
-  // "explore.fused_nodes" (BCAT nodes scanned) and "explore.fused_refs"
-  // (references scanned across all node subsequences — the fused engine's
-  // honest total, <= (levels+1) * N and strictly less whenever subtrees
-  // prune), its split by node scan "explore.scan_mtf_refs" /
+  // "explore.collapsed_refs" (entries the root scans: the collapsed length,
+  // or N when the trace is not collapsed), "explore.fused_nodes" (BCAT
+  // nodes scanned) and "explore.fused_refs" (entries scanned across all
+  // node subsequences — the fused engine's honest total, <= (levels+1) *
+  // collapsed_refs and strictly less whenever subtrees prune), its split by
+  // node scan "explore.scan_mtf_refs" /
   // "explore.scan_fenwick_refs", plus the volatile gauges
   // "explore.cut_level" (the chosen cut depends on the pool size) and
   // "explore.simd_kernel" (the support::simd::Level that ran —
@@ -76,6 +85,8 @@ struct FusedPreludeOptions {
   // itself may allocate O(1) per batch); the allocation-counting test and
   // micro_prelude's allocation counter measure from this point.
   std::function<void()> after_setup;
+  // Test/bench hook, never exposed on a CLI or the protocol.
+  CollapseMode collapse = CollapseMode::kCostModel;
 };
 
 // Histograms for depths 2^0 .. 2^max_index_bits, identical (including the

@@ -1,6 +1,7 @@
 #include "explore/strategy.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "analytic/explorer.hpp"
 #include "cache/sim.hpp"
@@ -12,10 +13,14 @@
 namespace ces::explore {
 namespace {
 
+// trace::SignificantAddressBits without the strip: the unique lines differ
+// from the first reference in exactly the bits some reference does.
 std::uint32_t CappedMaxBits(const trace::Trace& trace,
                             std::uint32_t max_index_bits) {
+  std::uint32_t differing = 0;
+  for (std::uint32_t ref : trace.refs) differing |= ref ^ trace.refs.front();
   return std::min(max_index_bits,
-                  trace::SignificantAddressBits(trace::Strip(trace)));
+                  static_cast<std::uint32_t>(std::bit_width(differing)));
 }
 
 // Runs `body(bits)` for every depth 2^0..2^max_bits, serially for jobs == 1

@@ -16,6 +16,7 @@
 
 #include "service/json.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace ces::service {
 
@@ -289,6 +290,60 @@ std::vector<Response> Client::Batch(const std::vector<std::string>& lines) {
 
 Response Client::Request(const std::string& line) {
   return Batch({line}).front();
+}
+
+Response UploadTrace(Client& client, const trace::Trace& trace,
+                     const std::string& name, const std::string& encoding,
+                     std::size_t chunk_refs,
+                     const std::function<void(const Response&)>& on_response) {
+  const auto seen = [&](const Response& response) {
+    if (on_response) on_response(response);
+    return response.ok;
+  };
+  std::string begin = "{\"id\":\"begin\",\"op\":\"trace-begin\",\"count\":" +
+                      std::to_string(trace.refs.size()) + ",\"kind\":\"" +
+                      (trace.kind == trace::StreamKind::kInstruction
+                           ? "instr"
+                           : "data") +
+                      "\",\"address_bits\":" +
+                      std::to_string(trace.address_bits);
+  if (!name.empty()) begin += ",\"name\":" + support::JsonQuote(name);
+  begin += "}";
+  Response response = client.Request(begin);
+  if (!seen(response)) return response;
+  const std::string token = response.upload;
+
+  // Chunks go out pipelined in windows; the transport's retry machinery may
+  // resend a window suffix on a fresh connection, which the server's
+  // replay-ack of already-applied sequence numbers absorbs.
+  constexpr std::size_t kWindowChunks = 16;
+  const std::size_t refs = trace.refs.size();
+  const std::size_t total_chunks = (refs + chunk_refs - 1) / chunk_refs;
+  for (std::size_t base = 0; base < total_chunks; base += kWindowChunks) {
+    std::vector<std::string> lines;
+    const std::size_t stop = std::min(total_chunks, base + kWindowChunks);
+    for (std::size_t seq = base; seq < stop; ++seq) {
+      const std::size_t offset = seq * chunk_refs;
+      const std::size_t n = std::min(chunk_refs, refs - offset);
+      lines.push_back("{\"id\":\"chunk-" + std::to_string(seq) +
+                      "\",\"op\":\"trace-chunk\",\"upload\":" +
+                      support::JsonQuote(token) +
+                      ",\"seq\":" + std::to_string(seq) +
+                      ",\"encoding\":" + support::JsonQuote(encoding) +
+                      ",\"payload\":" +
+                      support::JsonQuote(protocol::EncodeChunkPayload(
+                          encoding, trace.refs.data() + offset, n)) +
+                      "}");
+    }
+    for (Response& chunk_response : client.Batch(lines)) {
+      if (!seen(chunk_response)) return chunk_response;
+    }
+  }
+
+  response = client.Request("{\"id\":\"end\",\"op\":\"trace-end\",\"upload\":" +
+                            support::JsonQuote(token) + "}");
+  seen(response);
+  return response;
 }
 
 }  // namespace ces::service

@@ -22,12 +22,15 @@
 // duplicate session.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "service/protocol.hpp"
 #include "support/rng.hpp"
+#include "trace/trace.hpp"
 
 namespace ces::service {
 
@@ -79,5 +82,16 @@ class Client {
   std::string endpoint_;  // "unix:<path>" or "<host>:<port>", for messages
   Rng jitter_;
 };
+
+// Streams `trace` as one upload session: trace-begin under trace.kind (the
+// kind the server digests it under, so it seals on TraceStore::DigestOf),
+// the chunks of `chunk_refs` (> 0) references pipelined in windows with
+// payload `encoding` ("hex" or "base64"), then trace-end. Returns the
+// trace-end response, or the first error response. `on_response`, when set,
+// sees every response as it is returned.
+Response UploadTrace(
+    Client& client, const trace::Trace& trace, const std::string& name,
+    const std::string& encoding, std::size_t chunk_refs,
+    const std::function<void(const Response&)>& on_response = {});
 
 }  // namespace ces::service

@@ -209,8 +209,12 @@ Trace WithLineSize(const Trace& trace, std::uint32_t words_per_line) {
   return out;
 }
 
-StrippedTrace Strip(const Trace& trace) {
-  StripPass pass(trace.refs.size(), trace.address_bits, 0);
+StrippedTrace Strip(const Trace& trace, std::uint32_t line_words) {
+  const std::uint32_t shift = LineShift(line_words);
+  StripPass pass(trace.refs.size(),
+                 shift == 0 ? trace.address_bits
+                            : BlockedAddressBits(trace.address_bits, shift),
+                 shift);
   pass.Add(trace.refs.data(), trace.refs.size());
   return pass.Finish();
 }

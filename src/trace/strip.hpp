@@ -39,8 +39,10 @@ struct StrippedTrace {
 class TraceView;
 
 // Strips a trace in O(N) expected time (the paper's section 2.4 recommends
-// a hash table over the N log N sort).
-StrippedTrace Strip(const Trace& trace);
+// a hash table over the N log N sort). line_words > 1 re-blocks into lines
+// inside the same pass; the result is field-for-field identical to
+// Strip(WithLineSize(trace, line_words)) without the copy.
+StrippedTrace Strip(const Trace& trace, std::uint32_t line_words = 1);
 
 // Streaming strip over a TraceView: one bounded-chunk pass, never
 // materialising the raw reference vector. line_words > 1 fuses the

@@ -55,10 +55,13 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
-std::uint64_t CountTraversalAllocations(const ces::trace::StrippedTrace& s,
-                                        ces::support::ThreadPool* pool) {
+std::uint64_t CountTraversalAllocations(
+    const ces::trace::StrippedTrace& s, ces::support::ThreadPool* pool,
+    ces::analytic::CollapseMode collapse =
+        ces::analytic::CollapseMode::kCostModel) {
   ces::analytic::FusedPreludeOptions options;
   options.pool = pool;
+  options.collapse = collapse;
   options.after_setup = [] {
     g_allocations.store(0, std::memory_order_relaxed);
     g_counting.store(true, std::memory_order_relaxed);
@@ -95,6 +98,30 @@ TEST(FusedAllocTest, ParallelTraversalAllocatesAtMostDispatchConstant) {
   const auto stripped = TestStripped();
   ces::support::ThreadPool pool(8);
   EXPECT_LE(CountTraversalAllocations(stripped, &pool), 16u);
+}
+
+// The collapse runs before the hook, and the weighted traversal's scratch
+// (the weight lanes included) is sized by the collapsed length up front.
+TEST(FusedAllocTest, CollapsedTraversalIsAllocationFree) {
+  ces::trace::Trace loops;
+  for (int outer = 0; outer < 300; ++outer) {
+    for (std::uint32_t word = 0; word < 8; ++word) loops.refs.push_back(word);
+    for (int inner = 0; inner < 20 + outer % 3; ++inner) {
+      for (std::uint32_t word = 64; word < 80; ++word) {
+        loops.refs.push_back(word);
+      }
+    }
+  }
+  const auto stripped = ces::trace::Strip(loops);
+  ces::support::ThreadPool pool(8);
+  for (const auto mode : {ces::analytic::CollapseMode::kCostModel,
+                          ces::analytic::CollapseMode::kAlways}) {
+    EXPECT_EQ(CountTraversalAllocations(stripped, nullptr, mode), 0u);
+    EXPECT_LE(CountTraversalAllocations(stripped, &pool, mode), 16u);
+  }
+  EXPECT_EQ(CountTraversalAllocations(TestStripped(), nullptr,
+                                      ces::analytic::CollapseMode::kAlways),
+            0u);
 }
 
 // 12 references whose lines differ in bit 27, so the build explores

@@ -1143,6 +1143,49 @@ TEST(ServerEndToEnd, StreamingUploadThenExploreByDigestMatchesOffline) {
   EXPECT_EQ(metrics.counter("service.upload.finished"), 1u);
 }
 
+// An instruction-kind CTRC file uploaded the way `cachedse-client upload
+// --trace=F` does without --kind: LoadTraceRef under the default "data"
+// reference kind, then UploadTrace. The session must run under the file
+// header's kind, so the server seals on the local digest and the digest
+// explores to the offline answer.
+TEST(ServerEndToEnd, InstructionTraceUploadSealsUnderItsHeaderKind) {
+  MetricsRegistry metrics;
+  ServerFixture fixture(&metrics);
+  ces::service::Client client = fixture.NewClient();
+
+  ces::Rng rng(0x1257);
+  ces::trace::Trace written = ces::trace::RandomWorkingSet(rng, 40, 900, 2048);
+  written.kind = ces::trace::StreamKind::kInstruction;
+  const std::string path = TempPath(".ctr");
+  ces::trace::SaveToFile(path, written);
+
+  const ces::trace::Trace trace = ces::service::LoadTraceRef(path, "data");
+  ASSERT_EQ(trace.kind, ces::trace::StreamKind::kInstruction);
+  std::vector<std::string> rids;
+  const auto end = ces::service::UploadTrace(
+      client, trace, "instr upload", "base64", 128,
+      [&](const ces::service::Response& r) { rids.push_back(r.rid); });
+  ASSERT_TRUE(end.ok) << end.raw;
+  EXPECT_EQ(end.digest, TraceStore::DigestOf(trace));
+  // trace-begin, ceil(900 / 128) = 8 chunks, trace-end.
+  EXPECT_EQ(rids.size(), 10u);
+
+  const auto explored = client.Request(
+      "{\"id\":\"x\",\"op\":\"explore\",\"digest\":\"" + end.digest +
+      "\",\"k\":3,\"max_index_bits\":6}");
+  ASSERT_TRUE(explored.ok) << explored.raw;
+  ces::analytic::ExplorerOptions options;
+  options.max_index_bits = 6;
+  const auto want = ces::analytic::Explorer(trace, options).Solve(3);
+  ASSERT_EQ(explored.points.size(), want.points.size());
+  for (std::size_t i = 0; i < want.points.size(); ++i) {
+    EXPECT_EQ(explored.points[i].depth, want.points[i].depth);
+    EXPECT_EQ(explored.points[i].assoc, want.points[i].assoc);
+    EXPECT_EQ(explored.points[i].warm_misses, want.points[i].warm_misses);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ServerEndToEnd, MidUploadDisconnectLeaksNothingIntoTheStore) {
   MetricsRegistry metrics;
   ServerFixture fixture(&metrics);

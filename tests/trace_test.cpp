@@ -105,6 +105,25 @@ TEST(WithLineSizeTest, ReblocksAddresses) {
   EXPECT_EQ(WithLineSize(trace, 1).refs, trace.refs);
 }
 
+// The line-size shift runs inside the strip pass, with no re-blocked copy
+// of the trace; every field must match the copy-then-strip composition.
+TEST(WithLineSizeTest, StripReblocksInItsOwnPass) {
+  ces::Rng rng(314);
+  for (const std::uint32_t address_bits : {3u, 16u, 32u}) {
+    Trace trace = LocalityMix(rng, 64, 900, 5000);
+    trace.address_bits = address_bits;
+    for (const std::uint32_t line_words : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(line_words);
+      const StrippedTrace fused = Strip(trace, line_words);
+      const StrippedTrace copied = Strip(WithLineSize(trace, line_words));
+      EXPECT_EQ(fused.unique, copied.unique);
+      EXPECT_EQ(fused.ids, copied.ids);
+      EXPECT_EQ(fused.is_first, copied.is_first);
+      EXPECT_EQ(fused.address_bits, copied.address_bits);
+    }
+  }
+}
+
 TEST(SignificantBits, ReflectsVaryingBitsOnly) {
   Trace trace;
   trace.refs = {0x1000, 0x1004, 0x1006};

@@ -21,7 +21,9 @@
 //            (trace-begin / trace-chunk / trace-end), pipelining chunk
 //            windows through the batch transport, then verifies the
 //            server's digest against the locally computed one and prints
-//            it — for traces that exist client-side only.
+//            it — for traces that exist client-side only. The trace keeps
+//            its own kind (a CTRC/CTRZ header's) unless --kind is given;
+//            for a workload name --kind picks the stream (default data).
 //   metrics  (prints the server's MetricsRegistry JSON)
 //   ping / shutdown
 //   batch    (reads NDJSON request lines from stdin, sends them pipelined
@@ -232,7 +234,8 @@ int CmdIngest(const ces::ArgParser& args) {
 int CmdUpload(const ces::ArgParser& args) {
   const std::string path = args.GetString("trace", "");
   if (path.empty()) return Usage();
-  const std::string kind = args.GetString("kind", "data");
+  const std::string requested_kind = args.GetString("kind", "data");
+  if (requested_kind != "data" && requested_kind != "instr") return Usage();
   const std::string encoding = args.GetString("encoding", "hex");
   if (encoding != "hex" && encoding != "base64") return Usage();
   const auto chunk_refs =
@@ -241,59 +244,22 @@ int CmdUpload(const ces::ArgParser& args) {
 
   // The trace loads locally (any format the readers understand); the local
   // digest is the acceptance check against whatever the server assembled.
-  const ces::trace::Trace trace = ces::service::LoadTraceRef(path, kind);
+  // The server digests under the kind trace-begin names, so that kind is the
+  // trace's own (a CTRC/CTRZ header's) unless --kind overrides it.
+  ces::trace::Trace trace =
+      ces::service::LoadTraceRef(path, requested_kind);
+  if (args.Has("kind")) {
+    trace.kind = requested_kind == "instr"
+                     ? ces::trace::StreamKind::kInstruction
+                     : ces::trace::StreamKind::kData;
+  }
   const std::string local_digest =
       ces::service::TraceStore::DigestOf(trace);
 
   ces::service::Client client(TransportOptions(args));
-  std::string begin = "{\"id\":\"begin\",\"op\":\"trace-begin\",\"count\":" +
-                      std::to_string(trace.refs.size()) +
-                      ",\"kind\":" + ces::support::JsonQuote(kind) +
-                      ",\"address_bits\":" +
-                      std::to_string(trace.address_bits);
-  const std::string name = args.GetString("name", trace.name);
-  if (!name.empty()) {
-    begin += ",\"name\":" + ces::support::JsonQuote(name);
-  }
-  begin += "}";
-  Response response = client.Request(begin);
-  NoteRid(response);
-  if (!response.ok) return FailResponse(response);
-  const std::string token = response.upload;
-
-  // Chunks go out pipelined in windows; the transport's retry machinery may
-  // resend a window suffix on a fresh connection, which the server's
-  // replay-ack of already-applied sequence numbers absorbs.
-  constexpr std::size_t kWindowChunks = 16;
-  const std::size_t total_chunks =
-      trace.refs.empty() ? 0 : (trace.refs.size() + chunk_refs - 1) / chunk_refs;
-  for (std::size_t base = 0; base < total_chunks; base += kWindowChunks) {
-    std::vector<std::string> lines;
-    const std::size_t stop = std::min(total_chunks, base + kWindowChunks);
-    for (std::size_t seq = base; seq < stop; ++seq) {
-      const std::size_t offset = seq * chunk_refs;
-      const std::size_t n =
-          std::min(chunk_refs, trace.refs.size() - offset);
-      lines.push_back(
-          "{\"id\":\"chunk-" + std::to_string(seq) +
-          "\",\"op\":\"trace-chunk\",\"upload\":" +
-          ces::support::JsonQuote(token) +
-          ",\"seq\":" + std::to_string(seq) +
-          ",\"encoding\":" + ces::support::JsonQuote(encoding) +
-          ",\"payload\":" +
-          ces::support::JsonQuote(ces::service::protocol::EncodeChunkPayload(
-              encoding, trace.refs.data() + offset, n)) +
-          "}");
-    }
-    for (const Response& chunk_response : client.Batch(lines)) {
-      NoteRid(chunk_response);
-      if (!chunk_response.ok) return FailResponse(chunk_response);
-    }
-  }
-
-  response = client.Request("{\"id\":\"end\",\"op\":\"trace-end\",\"upload\":" +
-                            ces::support::JsonQuote(token) + "}");
-  NoteRid(response);
+  const Response response = ces::service::UploadTrace(
+      client, trace, args.GetString("name", trace.name), encoding, chunk_refs,
+      NoteRid);
   if (!response.ok) return FailResponse(response);
   if (response.digest != local_digest) {
     std::fprintf(stderr,
